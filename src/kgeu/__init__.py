@@ -44,6 +44,7 @@ from .models import (
     pair_loss_batch,
     score,
     score_batch,
+    score_candidates,
     score_complex,
     score_transe,
     score_transh,

@@ -27,7 +27,7 @@ from .evaluator import (
     summarize_reports,
 )
 from .ingest import drop_literals, parse_ntriples, parse_tsv, write_tsv
-from .models import ModelConfig, score_batch
+from .models import ModelConfig, score_batch, score_candidates
 from .store import load, save
 from .toy import ToySpec, generate_toy
 from .trainer import TrainConfig, train
@@ -245,17 +245,13 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     table, vocab, train_cfg = load(args.archive)
     if args.direction == "tail":
-        s = vocab.entity_id(args.subject)
-        p = vocab.property_id(args.predicate)
+        query = (vocab.entity_id(args.subject), vocab.property_id(args.predicate), None)
         candidates = candidate_set(vocab, args.candidates)
-        scores = score_batch(table, np.full(len(candidates), s), np.full(len(candidates), p), candidates)
-        query = (s, p, None)
+        scores = score_candidates(table, [query[:2]], "tail", candidates)[0]
     elif args.direction == "head":
-        p = vocab.property_id(args.predicate)
-        o = vocab.entity_id(args.object)
+        query = (None, vocab.property_id(args.predicate), vocab.entity_id(args.object))
         candidates = candidate_set(vocab, args.candidates)
-        scores = score_batch(table, candidates, np.full(len(candidates), p), np.full(len(candidates), o))
-        query = (None, p, o)
+        scores = score_candidates(table, [query[1:]], "head", candidates)[0]
     else:  # relation: exploratory ranking over the property ids
         s = vocab.entity_id(args.subject)
         o = vocab.entity_id(args.object)

@@ -1,7 +1,8 @@
 """Link-prediction evaluation: raw/filtered MeanRank and Hits@k.
 
 For each test triple and direction, every candidate id is substituted
-into the missing position and scored. The filtered setting removes
+into the missing position and scored; score_candidates scores a chunk of
+QUERY_CHUNK test triples at a time. The filtered setting removes
 candidates that form a known triple, except the true answer. Ties are
 broken pessimistically: a candidate scoring exactly the true answer's
 score counts against it, so a constant scorer earns the worst-case rank.
@@ -13,11 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyDatasetError, InvalidConfigError, TrueAnswerNotCandidateError
-from .models import EmbeddingTable, score_batch
+from .models import EmbeddingTable, score_candidates
 from .vocab import Triple, TripleIndex, Vocabulary
 
 CANDIDATE_POLICIES = ("entities-only", "entities-plus-shared-properties")
 TIE_BREAK = "pessimistic"
+# Test triples per score_candidates call: evaluate() holds at most
+# QUERY_CHUNK x C scores besides the C gathered candidate rows.
+QUERY_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -46,10 +50,10 @@ def candidate_set(vocab: Vocabulary, policy: str = "entities-only") -> np.ndarra
     """
     if policy not in CANDIDATE_POLICIES:
         raise InvalidConfigError(f"unknown candidate policy {policy!r}")
-    ids = set(int(i) for i in vocab.entity_ids)
-    if policy == "entities-plus-shared-properties":
-        ids.update(pid for _, _, pid in vocab.shared_terms())
-    return np.array(sorted(ids), dtype=np.int64)
+    if policy == "entities-only":
+        return vocab.entity_ids
+    shared = np.fromiter((pid for _, _, pid in vocab.shared_terms()), dtype=np.int64)
+    return np.union1d(vocab.entity_ids, shared)
 
 
 def rank_from_scores(scores: np.ndarray, true_pos: int, excluded: np.ndarray | None = None) -> int:
@@ -65,11 +69,9 @@ def rank_from_scores(scores: np.ndarray, true_pos: int, excluded: np.ndarray | N
     return 1 + int(np.count_nonzero(scores[others] >= scores[true_pos]))
 
 
-def _direction_scores(table, t: Triple, direction: str, candidates: np.ndarray) -> np.ndarray:
-    reps = np.full(len(candidates), -1, dtype=np.int64)
-    if direction == "head":
-        return score_batch(table, candidates, np.full_like(reps, t.p), np.full_like(reps, t.o))
-    return score_batch(table, np.full_like(reps, t.s), np.full_like(reps, t.p), candidates)
+def _queries(triples: np.ndarray, direction: str) -> np.ndarray:
+    """score_candidates queries for (n, 3) triples: (p, o) for head, (s, p) for tail."""
+    return triples[:, 1:] if direction == "head" else triples[:, :2]
 
 
 def _known_mask(t: Triple, direction: str, candidates: np.ndarray, index: TripleIndex) -> np.ndarray:
@@ -89,6 +91,19 @@ def _true_position(t: Triple, direction: str, candidates: np.ndarray) -> int:
     return pos
 
 
+def _ranks(scores: np.ndarray, t: Triple, direction: str, candidates: np.ndarray,
+           index: TripleIndex) -> tuple[int, int]:
+    """Raw and filtered ranks of `t`'s true answer from its candidates' scores."""
+    true_pos = _true_position(t, direction, candidates)
+    excluded = _known_mask(t, direction, candidates, index)
+    excluded[true_pos] = False
+    r_raw = rank_from_scores(scores, true_pos)
+    r_filt = rank_from_scores(scores, true_pos, excluded)
+    if r_filt > r_raw:
+        raise RuntimeError(f"filtered rank {r_filt} exceeds raw rank {r_raw} for {direction} of {t}")
+    return r_raw, r_filt
+
+
 def rank(
     table: EmbeddingTable,
     t: Triple,
@@ -98,13 +113,10 @@ def rank(
     filtered: bool,
 ) -> int:
     """Rank of the true answer when `direction` is predicted for `t`."""
-    scores = _direction_scores(table, t, direction, candidates)
-    true_pos = _true_position(t, direction, candidates)
-    excluded = None
-    if filtered:
-        excluded = _known_mask(t, direction, candidates, index)
-        excluded[true_pos] = False
-    return rank_from_scores(scores, true_pos, excluded)
+    queries = _queries(np.array([t], dtype=np.int64), direction)
+    scores = score_candidates(table, queries, direction, candidates)[0]
+    r_raw, r_filt = _ranks(scores, t, direction, candidates, index)
+    return r_filt if filtered else r_raw
 
 
 @dataclass(frozen=True)
@@ -182,17 +194,15 @@ def evaluate(
         raise EmptyDatasetError("no test triples to evaluate")
     candidates = candidate_set(vocab, config.candidate_policy)
     by_dir: dict[str, tuple[list[int], list[int]]] = {d: ([], []) for d in config.directions}
-    for t in test_triples:
+    for start in range(0, len(test_triples), QUERY_CHUNK):
+        chunk = test_triples[start:start + QUERY_CHUNK]
+        ids = np.array(chunk, dtype=np.int64)
         for direction in config.directions:
-            scores = _direction_scores(table, t, direction, candidates)
-            true_pos = _true_position(t, direction, candidates)
-            excluded = _known_mask(t, direction, candidates, index)
-            excluded[true_pos] = False
-            r_raw = rank_from_scores(scores, true_pos)
-            r_filt = rank_from_scores(scores, true_pos, excluded)
-            assert r_filt <= r_raw
-            by_dir[direction][0].append(r_raw)
-            by_dir[direction][1].append(r_filt)
+            scores = score_candidates(table, _queries(ids, direction), direction, candidates)
+            for t, row in zip(chunk, scores):
+                r_raw, r_filt = _ranks(row, t, direction, candidates, index)
+                by_dir[direction][0].append(r_raw)
+                by_dir[direction][1].append(r_filt)
 
     all_raw = [r for raws, _ in by_dir.values() for r in raws]
     all_filt = [r for _, filts in by_dir.values() for r in filts]

@@ -176,6 +176,107 @@ def score_batch(table: EmbeddingTable, s: np.ndarray, p: np.ndarray, o: np.ndarr
     return np.sum((sr * rr - si * ri) * orr + (sr * ri + si * rr) * oi, axis=-1)
 
 
+# Bytes of one block of candidate rows in score_candidates: a block and its
+# scratch buffers stay in a core's L2 cache while every query reuses them.
+BLOCK_BYTES = 1 << 20
+
+
+def score_candidates(
+    table: EmbeddingTable, queries: np.ndarray, direction: str, candidates: np.ndarray
+) -> np.ndarray:
+    """(Q, C) scores of every candidate completing every query.
+
+    `queries` is (Q, 2): the known (s, p) of each query for direction
+    'tail', the known (p, o) for 'head'. Row q is bitwise equal to
+    score_batch over query q's C triples: each element goes through the
+    same elementwise operations in the same order, and each row through
+    the same reduction. Candidate rows and each query's fixed rows are
+    gathered once; candidates are then scored in blocks of BLOCK_BYTES
+    using preallocated buffers and in-place ufuncs.
+    """
+    if direction not in ("head", "tail"):
+        raise InvalidConfigError(f"unknown direction {direction!r}")
+    cfg = table.config
+    nodes = table.node_vectors
+    queries = np.asarray(queries, dtype=np.int64).reshape(-1, 2)
+    tail = direction == "tail"
+    p = queries[:, 1] if tail else queries[:, 0]
+    fixed = nodes[queries[:, 0] if tail else queries[:, 1]]  # v_s for tail, v_o for head
+    vp = nodes[p]
+    cand = nodes[np.asarray(candidates, dtype=np.int64)]
+    out = np.empty((len(queries), len(cand)))
+    step = max(1, BLOCK_BYTES // (nodes.itemsize * cfg.width))
+    dim = cfg.dim
+
+    if cfg.model == "complex":
+        bufs = np.empty((3, step, dim))
+        rr, ri = _complex_parts(vp, dim)
+        if tail:  # s and r fixed: the factors of o's real and imaginary parts
+            sr, si = _complex_parts(fixed, dim)
+            re_f, im_f = sr * rr - si * ri, sr * ri + si * rr
+        else:
+            orr, oi = _complex_parts(fixed, dim)
+    else:
+        buf = np.empty((step, cfg.width))
+        if cfg.model == "transe" and tail:
+            head_sum = fixed + vp                               # (v_s + v_p)
+        if cfg.model == "transh":
+            w = table.relation_normals[table.normal_slot(p)]
+            tmp = np.empty_like(buf)
+            dots = np.empty(step)
+
+    for b0 in range(0, len(cand), step):
+        block = cand[b0:b0 + step]
+        n = len(block)
+        for q in range(len(queries)):
+            o = out[q, b0:b0 + n]
+            if cfg.model == "complex":
+                a, b, c = bufs[0, :n], bufs[1, :n], bufs[2, :n]
+                xr, xi = _complex_parts(block, dim)
+                if tail:   # (sr*rr - si*ri)*orr + (sr*ri + si*rr)*oi
+                    np.multiply(re_f[q], xr, out=a)
+                    np.multiply(im_f[q], xi, out=b)
+                else:
+                    np.multiply(xr, rr[q], out=a)
+                    np.multiply(xi, ri[q], out=b)
+                    np.subtract(a, b, out=a)
+                    np.multiply(a, orr[q], out=a)
+                    np.multiply(xr, ri[q], out=b)
+                    np.multiply(xi, rr[q], out=c)
+                    np.add(b, c, out=b)
+                    np.multiply(b, oi[q], out=b)
+                np.add(a, b, out=a)
+                np.add.reduce(a, axis=1, out=o)
+                continue
+            d = buf[:n]
+            if cfg.model == "transe":                           # (v_s + v_p) - v_o
+                if tail:
+                    np.subtract(head_sum[q], block, out=d)
+                else:
+                    np.add(block, vp[q], out=d)
+                    np.subtract(d, fixed[q], out=d)
+            else:                                               # u - (w.u) w + v_p, u = v_s - v_o
+                t, dot = tmp[:n], dots[:n]
+                if tail:
+                    np.subtract(fixed[q], block, out=d)
+                else:
+                    np.subtract(block, fixed[q], out=d)
+                np.multiply(w[q], d, out=t)
+                np.add.reduce(t, axis=1, out=dot)
+                np.multiply(dot[:, None], w[q], out=t)
+                np.subtract(d, t, out=d)
+                np.add(d, vp[q], out=d)
+            if cfg.norm == "l2":
+                np.multiply(d, d, out=d)
+                np.add.reduce(d, axis=1, out=o)
+                np.sqrt(o, out=o)
+            else:
+                np.abs(d, out=d)
+                np.add.reduce(d, axis=1, out=o)
+            np.negative(o, out=o)
+    return out
+
+
 def score(table: EmbeddingTable, t: Triple) -> float:
     """Score one triple with the table's own model."""
     s, p, o = (np.array([v], dtype=np.int64) for v in (t.s, t.p, t.o))

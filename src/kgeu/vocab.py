@@ -244,13 +244,16 @@ def parse_vocabulary(text: str, unify: bool) -> Vocabulary:
         if len(fields) != 3:
             raise FormatError(f"vocabulary line {line_no}: expected 3 fields")
         id_str, term, roles = fields
-        if int(id_str) != len(vocab.id_to_term):
+        try:
+            id_ = int(id_str)
+        except ValueError:
+            raise FormatError(f"vocabulary line {line_no}: id {id_str!r} is not an integer") from None
+        if id_ != len(vocab.id_to_term):
             raise FormatError(f"vocabulary line {line_no}: ids must be dense and ascending")
         if roles not in ("E", "P", "EP"):
             raise FormatError(f"vocabulary line {line_no}: bad role {roles!r}")
         if roles == "EP" and not unify:
             raise FormatError(f"vocabulary line {line_no}: shared id in a non-unified vocabulary")
-        id_ = len(vocab.id_to_term)
         vocab.id_to_term.append(term)
         if "E" in roles:
             if term in vocab._entity_id:

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from kgeu import write_tsv, write_ntriples
+from kgeu import candidate_set, load, score_batch, write_tsv, write_ntriples
 from kgeu.cli import build_parser, main, _train_config
 from kgeu.toy import mini_bilingual
 
@@ -229,6 +229,41 @@ def test_predict_known_filter(capsys, tmp_path, bilingual_tsv, trained_archive):
     assert code == 0
     assert len(filtered.splitlines()) == len(unfiltered.splitlines()) - 1
     assert "ex:Spain" not in filtered
+
+
+@pytest.mark.parametrize("direction", ["head", "tail"])
+def test_predict_top_k_matches_score_batch_order(capsys, trained_archive, direction):
+    table, vocab, _ = load(trained_archive)
+    candidates = candidate_set(vocab)
+    c = len(candidates)
+    p = np.full(c, vocab.property_id("ex:birthplace"))
+    if direction == "tail":
+        flag, term = "--subject", "ex:A"
+        scores = score_batch(table, np.full(c, vocab.entity_id(term)), p, candidates)
+    else:
+        flag, term = "--object", "ex:Spain"
+        scores = score_batch(table, candidates, p, np.full(c, vocab.entity_id(term)))
+    order = np.argsort(-scores, kind="stable")[:4]
+    expected = "".join(f"{vocab.term(int(candidates[i]))}\t{scores[i]:.6f}\n" for i in order)
+    code, stdout, _ = run(
+        capsys, "predict", "--direction", direction, flag, term,
+        "--predicate", "ex:birthplace", "-k", "4", trained_archive,
+    )
+    assert code == 0
+    assert stdout == expected
+
+
+def test_archive_with_non_integer_vocabulary_id_is_an_error(capsys, tmp_path, bilingual_tsv, trained_archive):
+    data = trained_archive.read_bytes()
+    first_id = data.index(b"\n0\t") + 1  # the id of the first vocabulary line
+    bad = tmp_path / "bad.kgeu"
+    bad.write_bytes(data[:first_id] + b"x" + data[first_id + 1:])
+    for argv in (("eval", bad, bilingual_tsv),
+                 ("predict", "--subject", "ex:A", "--predicate", "ex:birthplace", bad)):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("kgeu: error:")
+        assert "not an integer" in err
 
 
 def test_predict_finds_translated_answer_majority_of_seeds(capsys, tmp_path):

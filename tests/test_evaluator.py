@@ -21,8 +21,10 @@ from kgeu import (
     rank,
     rank_from_scores,
     render_report_table,
+    score_batch,
     summarize_reports,
 )
+from kgeu.evaluator import QUERY_CHUNK
 from kgeu.models import EmbeddingTable
 from conftest import random_graph
 
@@ -220,9 +222,10 @@ def test_rank_invariant_under_increasing_transforms(grid, true_pos, scale, shift
 @pytest.mark.parametrize("model", ["transe", "transh", "complex"])
 def test_evaluate_matches_oracle(model):
     rng = np.random.default_rng(20)
-    raws = random_graph(rng, n_entities=12, n_relations=3, n_triples=40, property_nodes=True)
+    raws = random_graph(rng, n_entities=14, n_relations=3, n_triples=200, property_nodes=True)
     vocab, table, triples = build_random_model(rng, raws, model=model)
     test_triples = triples[::3]
+    assert len(test_triples) > QUERY_CHUNK
     index = TripleIndex(triples)
     candidates = candidate_set(vocab)
     config = EvalConfig(hits_k=5)
@@ -238,6 +241,39 @@ def test_evaluate_matches_oracle(model):
         assert rank(table, t, direction, candidates, index, filtered=False) == r_raw
         assert rank(table, t, direction, candidates, index, filtered=True) == r_filt
         assert r_filt <= r_raw
+
+
+@pytest.mark.parametrize("model", ["transe", "transh", "complex"])
+def test_evaluate_ranks_equal_score_batch_ranks_under_ties(model):
+    # embeddings on a 3-value grid make many candidates score exactly or
+    # nearly alike; the chunked scorer must decide every such comparison
+    # as the per-query score_batch scores do, in every chunk
+    rng = np.random.default_rng(24)
+    raws = random_graph(rng, n_entities=30, n_relations=3, n_triples=2 * QUERY_CHUNK + 5)
+    vocab, table, triples = build_random_model(rng, raws, model=model, dim=2)
+    table.node_vectors[:] = rng.choice([-0.3, 0.1, 0.7], table.node_vectors.shape)
+    index = TripleIndex(triples)
+    candidates = candidate_set(vocab)
+    c = len(candidates)
+    raw, filt, ties = [], [], 0
+    for direction in ("head", "tail"):
+        for t in triples:
+            if direction == "head":
+                scores = score_batch(table, candidates, np.full(c, t.p), np.full(c, t.o))
+                known = index.subjects_for(t.p, t.o) - {t.s}
+            else:
+                scores = score_batch(table, np.full(c, t.s), np.full(c, t.p), candidates)
+                known = index.objects_for(t.s, t.p) - {t.o}
+            true_pos = int(np.searchsorted(candidates, t.s if direction == "head" else t.o))
+            ties += np.count_nonzero(scores == scores[true_pos]) - 1
+            raw.append(rank_from_scores(scores, true_pos))
+            filt.append(rank_from_scores(scores, true_pos, np.isin(candidates, list(known))))
+            assert rank(table, t, direction, candidates, index, filtered=False) == raw[-1]
+            assert rank(table, t, direction, candidates, index, filtered=True) == filt[-1]
+    assert ties > len(raw) // 2  # a tie per two queries at least
+    report = evaluate(table, triples, vocab, index, EvalConfig())
+    assert report.mean_rank_raw == float(np.mean(raw))
+    assert report.mean_rank_filtered == float(np.mean(filt))
 
 
 def test_report_invariants_and_json(bilingual_vocab, bilingual_triples):

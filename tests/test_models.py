@@ -14,11 +14,13 @@ from kgeu import (
     pair_loss_batch,
     score,
     score_batch,
+    score_candidates,
     score_complex,
     score_transe,
     score_transh,
 )
-from kgeu.models import pair_grad_batch
+from kgeu.evaluator import QUERY_CHUNK
+from kgeu.models import BLOCK_BYTES, MODELS, NORMS, pair_grad_batch
 
 
 def make_table(model="transe", dim=2, norm="l2", n_ids=4, n_props=1, **kw):
@@ -256,6 +258,68 @@ def test_score_batch_matches_single():
         batched = score_batch(table, ids[:, 0], ids[:, 1], ids[:, 2])
         assert batched[0] == pytest.approx(score(table, pos), abs=1e-12)
         assert batched[1] == pytest.approx(score(table, neg), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# score_candidates: bitwise equal to score_batch
+# ---------------------------------------------------------------------------
+
+def random_scoring_table(rng, model, dim, norm, n_ids, n_props=5):
+    table = make_table(model, dim=dim, norm=norm, n_ids=n_ids, n_props=n_props)
+    table.node_vectors[:] = rng.normal(size=table.node_vectors.shape)
+    if table.relation_normals is not None:
+        w = rng.normal(size=table.relation_normals.shape)
+        table.relation_normals[:] = w / np.linalg.norm(w, axis=1, keepdims=True)
+    return table
+
+
+def random_queries(rng, table, direction, n):
+    ent = rng.integers(0, len(table.node_vectors), n)
+    p = rng.choice(table.property_ids, n)
+    return np.stack([ent, p] if direction == "tail" else [p, ent], axis=1)
+
+
+def assert_bitwise_score_batch(table, queries, direction, candidates):
+    got = score_candidates(table, queries, direction, candidates)
+    assert got.shape == (len(queries), len(candidates))
+    c = len(candidates)
+    for row, (a, b) in zip(got, queries):
+        if direction == "tail":
+            want = score_batch(table, np.full(c, a), np.full(c, b), candidates)
+        else:
+            want = score_batch(table, candidates, np.full(c, a), np.full(c, b))
+        assert np.array_equal(row.view(np.int64), want.view(np.int64))
+    return got
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("norm", NORMS)
+@pytest.mark.parametrize("direction", ["head", "tail"])
+def test_score_candidates_bitwise_equal_to_score_batch(model, norm, direction):
+    rng = np.random.default_rng(12)
+    # odd dim, fewer candidates than one block
+    table = random_scoring_table(rng, model, dim=7, norm=norm, n_ids=40)
+    assert_bitwise_score_batch(table, random_queries(rng, table, direction, 3), direction,
+                               rng.integers(0, 40, 25))
+    # row width 200: three full blocks and a partial one, with duplicate
+    # candidates, for one query and for more than one evaluate() chunk
+    dim = 100 if model == "complex" else 200
+    step = BLOCK_BYTES // (8 * 200)
+    n_ids = 3 * step + step // 2
+    table = random_scoring_table(rng, model, dim, norm, n_ids)
+    candidates = np.concatenate([rng.permutation(n_ids), rng.integers(0, n_ids, 40)])
+    for n_queries in (1, QUERY_CHUNK + 3):
+        queries = random_queries(rng, table, direction, n_queries)
+        got = assert_bitwise_score_batch(table, queries, direction, candidates)
+        for dup in range(n_ids, len(candidates)):
+            twin = np.flatnonzero(candidates[:n_ids] == candidates[dup])[0]
+            assert np.array_equal(got[:, dup], got[:, twin])  # exact ties
+
+
+def test_score_candidates_rejects_unknown_direction():
+    table = make_table()
+    with pytest.raises(InvalidConfigError):
+        score_candidates(table, [[0, 3]], "relation", np.arange(3))
 
 
 # ---------------------------------------------------------------------------

@@ -200,3 +200,8 @@ def test_parse_vocabulary_rejects_garbage():
         parse_vocabulary("1\tterm\tE\n", unify=True)  # ids not dense
     with pytest.raises(FormatError):
         parse_vocabulary("0\tterm\tEP\n", unify=False)  # shared id without unify
+
+
+def test_parse_vocabulary_non_integer_id_is_format_error():
+    with pytest.raises(FormatError, match="not an integer"):
+        parse_vocabulary("x\tfoo\tE\n", unify=True)
