@@ -12,6 +12,7 @@ from .errors import (
     DimensionMismatchError,
     EmptyDatasetError,
     FormatError,
+    IndexOverflowError,
     InvalidConfigError,
     InvalidSpecError,
     KgeError,
@@ -49,7 +50,7 @@ from .models import (
     score_transe,
     score_transh,
 )
-from .trainer import AdamState, TrainConfig, TrainResult, adam_step, negative_sample, train
+from .trainer import AdamState, TrainConfig, TrainResult, adam_step, negative_samples, train
 from .evaluator import (
     EvalConfig,
     EvalReport,

@@ -244,33 +244,28 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     table, vocab, train_cfg = load(args.archive)
-    if args.direction == "tail":
-        query = (vocab.entity_id(args.subject), vocab.property_id(args.predicate), None)
-        candidates = candidate_set(vocab, args.candidates)
-        scores = score_candidates(table, [query[:2]], "tail", candidates)[0]
-    elif args.direction == "head":
-        query = (None, vocab.property_id(args.predicate), vocab.entity_id(args.object))
-        candidates = candidate_set(vocab, args.candidates)
-        scores = score_candidates(table, [query[1:]], "head", candidates)[0]
-    else:  # relation: exploratory ranking over the property ids
-        s = vocab.entity_id(args.subject)
-        o = vocab.entity_id(args.object)
+    if args.direction == "relation":  # exploratory ranking over the property ids
         candidates = vocab.property_ids
-        scores = score_batch(table, np.full(len(candidates), s), candidates, np.full(len(candidates), o))
-        query = (s, None, o)
+        s = np.full(len(candidates), vocab.entity_id(args.subject))
+        o = np.full(len(candidates), vocab.entity_id(args.object))
+        scores = score_batch(table, s, candidates, o)
+    else:
+        if args.direction == "tail":
+            pair = [vocab.entity_id(args.subject), vocab.property_id(args.predicate)]
+        else:
+            pair = [vocab.property_id(args.predicate), vocab.entity_id(args.object)]
+        candidates = candidate_set(vocab, args.candidates)
+        scores = score_candidates(table, [pair], args.direction, candidates)[0]
 
     keep = np.ones(len(candidates), dtype=bool)
     if args.known:
         known_raws, _ = _load_raw(args.known, args.format, keep_literals=False)
         index = TripleIndex(intern(known_raws, vocab).triples)
-        if args.direction == "tail":
-            known = index.objects_for(query[0], query[1])
-        elif args.direction == "head":
-            known = index.subjects_for(query[1], query[2])
+        if args.direction == "relation":
+            keep &= ~index.contains(np.stack([s, candidates, o], axis=1))
         else:
-            known = {int(p) for p in candidates if (query[0], int(p), query[2]) in index}
-        if known:
-            keep &= ~np.isin(candidates, np.fromiter(known, dtype=np.int64))
+            _, known = index.known([pair], args.direction)
+            keep &= ~np.isin(candidates, known)
 
     order = np.argsort(-scores[keep], kind="stable")
     kept_ids = candidates[keep][order][: args.k]

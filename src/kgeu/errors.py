@@ -51,6 +51,10 @@ class NonFiniteUpdateError(KgeError):
         self.batch = batch
 
 
+class IndexOverflowError(KgeError):
+    """Triple ids cannot be packed into the index's int64 keys."""
+
+
 class TrueAnswerNotCandidateError(KgeError):
     """The true answer of a ranking query is outside the candidate set."""
 

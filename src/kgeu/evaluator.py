@@ -74,34 +74,44 @@ def _queries(triples: np.ndarray, direction: str) -> np.ndarray:
     return triples[:, 1:] if direction == "head" else triples[:, :2]
 
 
-def _known_mask(t: Triple, direction: str, candidates: np.ndarray, index: TripleIndex) -> np.ndarray:
-    known = index.subjects_for(t.p, t.o) if direction == "head" else index.objects_for(t.s, t.p)
-    if not known:
-        return np.zeros(len(candidates), dtype=bool)
-    return np.isin(candidates, np.fromiter(known, dtype=np.int64))
-
-
-def _true_position(t: Triple, direction: str, candidates: np.ndarray) -> int:
-    true_id = t.s if direction == "head" else t.o
-    pos = int(np.searchsorted(candidates, true_id))
-    if pos == len(candidates) or candidates[pos] != true_id:
+def _true_positions(triples: np.ndarray, direction: str, candidates: np.ndarray) -> np.ndarray:
+    true_ids = triples[:, 0] if direction == "head" else triples[:, 2]
+    pos = np.searchsorted(candidates, true_ids)
+    bad = pos == len(candidates)
+    bad[~bad] = candidates[pos[~bad]] != true_ids[~bad]
+    if bad.any():
         raise TrueAnswerNotCandidateError(
-            f"true {direction} id {true_id} is not in the candidate set"
+            f"true {direction} id {true_ids[np.argmax(bad)]} is not in the candidate set"
         )
     return pos
 
 
-def _ranks(scores: np.ndarray, t: Triple, direction: str, candidates: np.ndarray,
-           index: TripleIndex) -> tuple[int, int]:
-    """Raw and filtered ranks of `t`'s true answer from its candidates' scores."""
-    true_pos = _true_position(t, direction, candidates)
-    excluded = _known_mask(t, direction, candidates, index)
-    excluded[true_pos] = False
-    r_raw = rank_from_scores(scores, true_pos)
-    r_filt = rank_from_scores(scores, true_pos, excluded)
-    if r_filt > r_raw:
-        raise RuntimeError(f"filtered rank {r_filt} exceeds raw rank {r_raw} for {direction} of {t}")
-    return r_raw, r_filt
+def _chunk_ranks(table: EmbeddingTable, triples: np.ndarray, direction: str, candidates: np.ndarray,
+                 index: TripleIndex) -> tuple[np.ndarray, np.ndarray]:
+    """Raw and filtered ranks of the true answers of (Q, 3) `triples`.
+
+    Both count, from one (Q, C) `scores >= true score` matrix, the other
+    candidates that tie or beat the true answer; the filtered rank then
+    drops those that complete a known triple, found with index.known().
+    """
+    queries = _queries(triples, direction)
+    scores = score_candidates(table, queries, direction, candidates)
+    true_pos = _true_positions(triples, direction, candidates)
+    q = np.arange(len(triples))
+    ge = scores >= scores[q, true_pos][:, None]
+    ge[q, true_pos] = False
+    raw = 1 + np.count_nonzero(ge, axis=1)
+    rows, ids = index.known(queries, direction)
+    at = np.searchsorted(candidates, ids)
+    hit = at < len(candidates)
+    hit[hit] = candidates[at[hit]] == ids[hit]
+    rows, at = rows[hit], at[hit]
+    filt = raw - np.bincount(rows[ge[rows, at]], minlength=len(q))
+    if np.any(filt > raw):
+        bad = int(np.argmax(filt > raw))
+        raise RuntimeError(f"filtered rank {filt[bad]} exceeds raw rank {raw[bad]} "
+                           f"for {direction} of {Triple(*triples[bad].tolist())}")
+    return raw, filt
 
 
 def rank(
@@ -113,10 +123,8 @@ def rank(
     filtered: bool,
 ) -> int:
     """Rank of the true answer when `direction` is predicted for `t`."""
-    queries = _queries(np.array([t], dtype=np.int64), direction)
-    scores = score_candidates(table, queries, direction, candidates)[0]
-    r_raw, r_filt = _ranks(scores, t, direction, candidates, index)
-    return r_filt if filtered else r_raw
+    raw, filt = _chunk_ranks(table, np.array([t], dtype=np.int64), direction, candidates, index)
+    return int(filt[0] if filtered else raw[0])
 
 
 @dataclass(frozen=True)
@@ -163,11 +171,11 @@ class EvalReport:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _stats(ranks_raw: list[int], ranks_filt: list[int], k: int) -> DirectionStats | None:
-    if not ranks_raw:
+def _stats(ranks_raw: np.ndarray, ranks_filt: np.ndarray, k: int) -> DirectionStats | None:
+    if not len(ranks_raw):
         return None
-    raw = np.array(ranks_raw, dtype=np.float64)
-    filt = np.array(ranks_filt, dtype=np.float64)
+    raw = ranks_raw.astype(np.float64)
+    filt = ranks_filt.astype(np.float64)
     return DirectionStats(
         mean_rank_raw=float(raw.mean()),
         mean_rank_filtered=float(filt.mean()),
@@ -193,23 +201,21 @@ def evaluate(
     if not test_triples:
         raise EmptyDatasetError("no test triples to evaluate")
     candidates = candidate_set(vocab, config.candidate_policy)
-    by_dir: dict[str, tuple[list[int], list[int]]] = {d: ([], []) for d in config.directions}
+    by_dir: dict[str, tuple[list, list]] = {d: ([], []) for d in config.directions}
     for start in range(0, len(test_triples), QUERY_CHUNK):
-        chunk = test_triples[start:start + QUERY_CHUNK]
-        ids = np.array(chunk, dtype=np.int64)
+        ids = np.array(test_triples[start:start + QUERY_CHUNK], dtype=np.int64)
         for direction in config.directions:
-            scores = score_candidates(table, _queries(ids, direction), direction, candidates)
-            for t, row in zip(chunk, scores):
-                r_raw, r_filt = _ranks(row, t, direction, candidates, index)
-                by_dir[direction][0].append(r_raw)
-                by_dir[direction][1].append(r_filt)
+            raw, filt = _chunk_ranks(table, ids, direction, candidates, index)
+            by_dir[direction][0].append(raw)
+            by_dir[direction][1].append(filt)
 
-    all_raw = [r for raws, _ in by_dir.values() for r in raws]
-    all_filt = [r for _, filts in by_dir.values() for r in filts]
+    ranks = {d: (np.concatenate(raws), np.concatenate(filts)) for d, (raws, filts) in by_dir.items()}
+    all_raw = np.concatenate([raw for raw, _ in ranks.values()])
+    all_filt = np.concatenate([filt for _, filt in ranks.values()])
     combined = _stats(all_raw, all_filt, config.hits_k)
     empty = DirectionStats(0.0, 0.0, 0.0, 0.0)
-    head = _stats(*by_dir["head"], config.hits_k) if "head" in by_dir else empty
-    tail = _stats(*by_dir["tail"], config.hits_k) if "tail" in by_dir else empty
+    head = _stats(*ranks["head"], config.hits_k) if "head" in ranks else empty
+    tail = _stats(*ranks["tail"], config.hits_k) if "tail" in ranks else empty
     return EvalReport(
         n_triples=len(test_triples),
         n_candidates=len(candidates),

@@ -15,6 +15,7 @@ a positive/negative pair touches, and are checked against central finite
 differences in the test suite.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,10 +42,10 @@ class ModelConfig:
             raise InvalidConfigError("dim must be positive")
         if self.norm not in NORMS:
             raise InvalidConfigError(f"unknown norm {self.norm!r}")
-        if self.margin <= 0:
-            raise InvalidConfigError("margin must be positive")
-        if self.complex_reg < 0:
-            raise InvalidConfigError("complex_reg must be non-negative")
+        if not (math.isfinite(self.margin) and self.margin > 0):
+            raise InvalidConfigError("margin must be positive and finite")
+        if not (math.isfinite(self.complex_reg) and self.complex_reg >= 0):
+            raise InvalidConfigError("complex_reg must be non-negative and finite")
 
     @property
     def width(self) -> int:
@@ -141,13 +142,13 @@ def renormalize_normals(table: EmbeddingTable, slots: np.ndarray | None = None) 
 # ---------------------------------------------------------------------------
 
 def _norm_and_unit(d: np.ndarray, norm: str) -> tuple[np.ndarray, np.ndarray]:
-    """Batch norm of difference rows and the gradient d||d||/dd."""
+    """Batch norm of difference rows and the gradient d||d||/dd, which
+    overwrites `d`."""
     if norm == "l2":
         n = np.linalg.norm(d, axis=-1)
-        unit = d / np.where(n > 0.0, n, 1.0)[..., None]
-        return n, unit
+        return n, np.divide(d, np.where(n > 0.0, n, 1.0)[..., None], out=d)
     n = np.abs(d).sum(axis=-1)
-    return n, np.sign(d)
+    return n, np.sign(d, out=d)
 
 
 def _complex_parts(rows: np.ndarray, dim: int):
@@ -338,15 +339,43 @@ class SparseGrad:
         return m
 
 
-def scatter_sum(ids: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum `rows` into one row per unique id; ids returned ascending."""
+def scatter_sum(
+    ids: np.ndarray, rows: np.ndarray, src: np.ndarray | None = None, coef: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sum `coef[j] * rows[src[j]]` into one row per unique id; ids returned ascending.
+
+    `src` defaults to 0..len(ids)-1 and `coef` to all ones (no product).
+    After one stable argsort of `ids`, each id's terms are summed in input
+    order by np.add.reduceat. The terms are gathered and scaled in blocks
+    of about BLOCK_BYTES that never split an id's segment, so no array of
+    all the terms is built and the result is bitwise that of one reduceat
+    over all of them.
+    """
+    width = rows.shape[1]
     if len(ids) == 0:
-        return ids.astype(np.int64), rows
+        return ids.astype(np.int64), np.empty((0, width), dtype=rows.dtype)
     order = np.argsort(ids, kind="stable")
     ids_sorted = ids[order]
-    rows_sorted = rows[order]
-    starts = np.flatnonzero(np.r_[True, ids_sorted[1:] != ids_sorted[:-1]])
-    return ids_sorted[starts], np.add.reduceat(rows_sorted, starts, axis=0)
+    new_id = np.empty(len(ids), dtype=bool)
+    new_id[0] = True
+    np.not_equal(ids_sorted[1:], ids_sorted[:-1], out=new_id[1:])
+    starts = np.flatnonzero(new_id)
+    src = order if src is None else src[order]
+    coef = None if coef is None else coef[order]
+    step = max(1, BLOCK_BYTES // (rows.itemsize * width))
+    if len(ids) > step:  # block k begins with the segment holding term k*step
+        seg = np.unique(np.searchsorted(starts, np.arange(0, len(ids), step), side="right") - 1)
+        edges = starts[seg].tolist() + [len(ids)]
+        seg = seg.tolist() + [len(starts)]
+    else:
+        seg, edges = [0, len(starts)], [0, len(ids)]
+    out = np.empty((len(starts), width), dtype=rows.dtype)
+    for a, b, s0, s1 in zip(edges[:-1], edges[1:], seg[:-1], seg[1:]):
+        terms = rows[src[a:b]]
+        if coef is not None:
+            terms *= coef[a:b, None]
+        np.add.reduceat(terms, starts[s0:s1] - a, axis=0, out=out[s0:s1])
+    return ids_sorted[starts], out
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -407,16 +436,39 @@ def pair_grad_batch(
     return _complex_grad(table, pos, neg)
 
 
+def _role_terms(pos: np.ndarray, neg: np.ndarray, dscore: np.ndarray,
+                offsets: tuple[int, int, int], signs: tuple[float, float, float]):
+    """Scatter terms of a pair batch's (s, p, o) role rows.
+
+    Row r of `both = [pos; neg]` has dL/dscore `dscore[r]`; its role k
+    takes gradient row `offsets[k] + r` with sign `signs[k]`. Terms come
+    in the order pos s, pos p, pos o, neg s, neg p, neg o, each in batch
+    order. Returns (ids, src, coef) for scatter_sum.
+    """
+    n = len(pos)
+    ids = np.concatenate([pos, neg]).reshape(2, n, 3).transpose(0, 2, 1).ravel()
+    r = np.arange(2 * n).reshape(2, 1, n)
+    src = (np.array(offsets).reshape(1, 3, 1) + r).ravel()
+    coef = (np.array(signs).reshape(1, 3, 1) * dscore.reshape(2, 1, n)).ravel()
+    return ids, src, coef
+
+
 def _margin_score_parts(table: EmbeddingTable, ids: np.ndarray):
-    """Score and per-role score gradients for a (B,3) id array."""
+    """Scores of a (n,3) id array and its distinct score-gradient rows.
+
+    transe: dscore/d(s, p, o) = (-unit, -unit, +unit); returns unit.
+    transh: dscore/d(s, p, o) = (g_proj, g, -g_proj) and dscore/dw;
+    returns [g_proj; g] and dscore/dw.
+    """
     cfg = table.config
-    vs = table.node_vectors[ids[:, 0]]
-    vp = table.node_vectors[ids[:, 1]]
-    vo = table.node_vectors[ids[:, 2]]
+    nodes = table.node_vectors
     if cfg.model == "transe":
-        n, unit = _norm_and_unit(vs + vp - vo, cfg.norm)
-        # score = -n: d/dvs = -unit, d/dvp = -unit, d/dvo = +unit
-        return -n, -unit, -unit, unit, None, None
+        d = nodes[ids[:, 0]]
+        d += nodes[ids[:, 1]]
+        d -= nodes[ids[:, 2]]
+        n, unit = _norm_and_unit(d, cfg.norm)
+        return -n, unit, None
+    vs, vp, vo = nodes[ids[:, 0]], nodes[ids[:, 1]], nodes[ids[:, 2]]
     w = table.relation_normals[table.normal_slot(ids[:, 1])]
     u = vs - vo
     wu = np.sum(w * u, axis=-1, keepdims=True)
@@ -426,61 +478,67 @@ def _margin_score_parts(table: EmbeddingTable, ids: np.ndarray):
     gw = np.sum(g * w, axis=-1, keepdims=True)
     g_proj = g - gw * w                         # dscore/dvs; dvo is its negation
     grad_w = -(gw * u + wu * g)                 # dscore/dw
-    return -n, g_proj, g, -g_proj, grad_w, w
+    return -n, np.concatenate([g_proj, g]), grad_w
 
 
 def _margin_grad(table, pos, neg):
     cfg = table.config
-    sp, p_ds, p_dp, p_do, p_dw, _ = _margin_score_parts(table, pos)
-    sn, n_ds, n_dp, n_do, n_dw, _ = _margin_score_parts(table, neg)
-    viol = cfg.margin - sp + sn
+    b = len(pos)
+    both = np.concatenate([pos, neg])
+    sc, rows, grad_w = _margin_score_parts(table, both)
+    viol = cfg.margin - sc[:b] + sc[b:]
     losses = np.maximum(0.0, viol)
-    act = (viol > 0.0).astype(np.float64)[:, None]
+    act = (viol > 0.0).astype(np.float64)
     # dL/dscore(pos) = -1, dL/dscore(neg) = +1 where the hinge is active
-    ids = np.concatenate([pos[:, 0], pos[:, 1], pos[:, 2], neg[:, 0], neg[:, 1], neg[:, 2]])
-    rows = np.concatenate([
-        -act * p_ds, -act * p_dp, -act * p_do,
-        act * n_ds, act * n_dp, act * n_do,
-    ])
-    node_ids, node_grads = scatter_sum(ids, rows)
+    dscore = np.concatenate([-act, act])
+    if cfg.model == "transe":  # rows: unit
+        ids, src, coef = _role_terms(pos, neg, dscore, (0, 0, 0), (-1.0, -1.0, 1.0))
+    else:                      # rows: [g_proj; g]
+        ids, src, coef = _role_terms(pos, neg, dscore, (0, 2 * b, 0), (1.0, 1.0, -1.0))
+    node_ids, node_grads = scatter_sum(ids, rows, src, coef)
     grad = SparseGrad(cfg.width, cfg.dim, node_ids, node_grads)
     if cfg.model == "transh":
-        slots = np.concatenate([table.normal_slot(pos[:, 1]), table.normal_slot(neg[:, 1])])
-        wrows = np.concatenate([-act * p_dw, act * n_dw])
-        grad.normal_slots, grad.normal_grads = scatter_sum(slots, wrows)
+        slots = table.normal_slot(both[:, 1])
+        grad.normal_slots, grad.normal_grads = scatter_sum(slots, grad_w, coef=dscore)
     return grad, losses
 
 
 def _complex_score_parts(table: EmbeddingTable, ids: np.ndarray):
+    """Scores of a (n,3) id array and dscore/d(s, r, o) as a (3, n, width) array."""
     dim = table.config.dim
     sr, si = _complex_parts(table.node_vectors[ids[:, 0]], dim)
     rr, ri = _complex_parts(table.node_vectors[ids[:, 1]], dim)
     orr, oi = _complex_parts(table.node_vectors[ids[:, 2]], dim)
     sc = np.sum((sr * rr - si * ri) * orr + (sr * ri + si * rr) * oi, axis=-1)
-    ds = np.concatenate([rr * orr + ri * oi, -ri * orr + rr * oi], axis=1)
-    dr = np.concatenate([sr * orr + si * oi, -si * orr + sr * oi], axis=1)
-    do = np.concatenate([sr * rr - si * ri, sr * ri + si * rr], axis=1)
-    return sc, ds, dr, do
+    grads = np.empty((3, len(ids), 2 * dim))
+    grads[0, :, :dim] = rr * orr + ri * oi
+    grads[0, :, dim:] = -ri * orr + rr * oi
+    grads[1, :, :dim] = sr * orr + si * oi
+    grads[1, :, dim:] = -si * orr + sr * oi
+    grads[2, :, :dim] = sr * rr - si * ri
+    grads[2, :, dim:] = sr * ri + si * rr
+    return sc, grads
 
 
 def _complex_grad(table, pos, neg):
     cfg = table.config
-    sp, p_ds, p_dr, p_do = _complex_score_parts(table, pos)
-    sn, n_ds, n_dr, n_do = _complex_score_parts(table, neg)
+    b = len(pos)
+    sc, grads = _complex_score_parts(table, np.concatenate([pos, neg]))
+    sp, sn = sc[:b], sc[b:]
     losses = _softplus(-sp) + _softplus(sn)
-    cp = -_sigmoid(-sp)[:, None]   # dL/dscore(pos)
-    cn = _sigmoid(sn)[:, None]     # dL/dscore(neg)
-    ids = [pos[:, 0], pos[:, 1], pos[:, 2], neg[:, 0], neg[:, 1], neg[:, 2]]
-    rows = [cp * p_ds, cp * p_dr, cp * p_do, cn * n_ds, cn * n_dr, cn * n_do]
+    dscore = np.concatenate([-_sigmoid(-sp), _sigmoid(sn)])
+    ids, src, coef = _role_terms(pos, neg, dscore, (0, 2 * b, 4 * b), (1.0, 1.0, 1.0))
+    rows = grads.reshape(6 * b, cfg.width)
     if cfg.complex_reg > 0.0:
         ids6, first = _pair_reg_ids(pos, neg)
         sq = np.sum(table.node_vectors[ids6] ** 2, axis=-1)
         losses = losses + cfg.complex_reg * np.sum(sq * first, axis=1)
         reg_ids = ids6[first]
-        reg_rows = 2.0 * cfg.complex_reg * table.node_vectors[reg_ids]
-        ids.append(reg_ids)
-        rows.append(reg_rows)
-    node_ids, node_grads = scatter_sum(np.concatenate(ids), np.concatenate(rows))
+        ids = np.concatenate([ids, reg_ids])
+        src = np.concatenate([src, np.arange(6 * b, 6 * b + len(reg_ids))])
+        coef = np.concatenate([coef, np.full(len(reg_ids), 2.0 * cfg.complex_reg)])
+        rows = np.concatenate([rows, table.node_vectors[reg_ids]])
+    node_ids, node_grads = scatter_sum(ids, rows, src, coef)
     return SparseGrad(cfg.width, cfg.dim, node_ids, node_grads), losses
 
 

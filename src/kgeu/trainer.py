@@ -6,6 +6,7 @@ negative sampling), batches sum pair gradients in fixed index order, and
 all arithmetic is float64.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -39,8 +40,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise InvalidConfigError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise InvalidConfigError("learning_rate must be positive and finite")
         if self.epochs < 1:
             raise InvalidConfigError("epochs must be at least 1")
         if self.batch_size is not None and self.batch_size < 1:
@@ -58,24 +59,26 @@ class TrainConfig:
         return n_triples if n_triples < FULL_BATCH_LIMIT else 512
 
 
-def negative_sample(
-    t: Triple, vocab: Vocabulary, index: TripleIndex, rng: np.random.Generator
-) -> tuple[Triple, bool]:
-    """Corrupt head or tail (never the predicate) with a uniform entity.
+def negative_samples(
+    pos: np.ndarray, entities: np.ndarray, index: TripleIndex, rng: np.random.Generator
+) -> tuple[np.ndarray, int]:
+    """Corrupt the head or tail (never the predicate) of every (B, 3)
+    positive with a uniform entity.
 
-    Resamples while the corrupted triple is a known positive, up to
-    MAX_REJECTION_ATTEMPTS; then the last sample is accepted anyway.
-    Returns the negative and whether the cap was exhausted.
+    One coin per row picks the side. Each round redraws the replacement
+    of every row whose corruption is still a known positive, up to
+    MAX_REJECTION_ATTEMPTS rounds; a row still rejected then keeps its
+    last draw. Returns the negatives and the number of such capped rows.
     """
-    entities = vocab.entity_ids
-    corrupt_head = rng.random() < 0.5
-    candidate = t
+    neg = pos.copy()
+    col = np.where(rng.random(len(pos)) < 0.5, 0, 2)
+    pending = np.arange(len(pos))
     for _ in range(MAX_REJECTION_ATTEMPTS):
-        repl = int(entities[rng.integers(len(entities))])
-        candidate = Triple(repl, t.p, t.o) if corrupt_head else Triple(t.s, t.p, repl)
-        if candidate not in index:
-            return candidate, False
-    return candidate, True
+        neg[pending, col[pending]] = entities[rng.integers(len(entities), size=len(pending))]
+        pending = pending[index.contains(neg[pending])]
+        if not len(pending):
+            break
+    return neg, len(pending)
 
 
 class AdamState:
@@ -97,15 +100,31 @@ class AdamState:
 
     def _update(self, params: np.ndarray, m: np.ndarray, v: np.ndarray,
                 ids: np.ndarray, grads: np.ndarray, lr: float) -> None:
+        """Adam on rows `ids`: each of m, v and params is gathered and
+        scattered once; the arithmetic is the textbook order,
+        p -= lr * m_hat / (sqrt(v_hat) + eps), done in place."""
         b1, b2 = self.beta1, self.beta2
         # overflow/invalid surface as non-finite params and raise below
         with np.errstate(invalid="ignore", over="ignore"):
-            m[ids] = b1 * m[ids] + (1.0 - b1) * grads
-            v[ids] = b2 * v[ids] + (1.0 - b2) * grads ** 2
-            m_hat = m[ids] / (1.0 - b1 ** self.step)
-            v_hat = v[ids] / (1.0 - b2 ** self.step)
-            params[ids] -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
-        if not np.all(np.isfinite(params[ids])):
+            mi, vi, pi = m[ids], v[ids], params[ids]
+            g = np.multiply(grads, 1.0 - b1)
+            mi *= b1
+            mi += g                                   # b1 * m + (1 - b1) * g
+            np.multiply(grads, grads, out=g)
+            g *= 1.0 - b2
+            vi *= b2
+            vi += g                                   # b2 * v + (1 - b2) * g**2
+            m[ids] = mi
+            v[ids] = vi
+            mi /= 1.0 - b1 ** self.step               # m_hat
+            vi /= 1.0 - b2 ** self.step               # v_hat
+            np.sqrt(vi, out=vi)
+            vi += self.eps
+            mi *= lr
+            mi /= vi
+            pi -= mi
+            params[ids] = pi
+        if not np.all(np.isfinite(pi)):
             raise NonFiniteUpdateError()
 
 
@@ -156,8 +175,9 @@ def train(
     """
     if not train_triples:
         raise EmptyDatasetError("no training triples")
+    triples = np.array(train_triples, dtype=np.int64)
     if index is None:
-        index = TripleIndex(train_triples)
+        index = TripleIndex(triples)
 
     init_rng, shuffle_rng, sample_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(3)
@@ -165,7 +185,6 @@ def train(
     table = init_embeddings(config.model, vocab, init_rng, share=config.share)
     adam = AdamState(table)
 
-    triples = np.array(train_triples, dtype=np.int64)
     n = len(triples)
     batch_size = config.resolved_batch_size(n)
     cap_hits = 0
@@ -180,11 +199,8 @@ def train(
             pos = triples[order[start:start + batch_size]]
             if config.negatives > 1:
                 pos = np.repeat(pos, config.negatives, axis=0)
-            neg = np.empty_like(pos)
-            for i, row in enumerate(pos):
-                cand, capped = negative_sample(Triple(*row), vocab, index, sample_rng)
-                cap_hits += capped
-                neg[i] = cand
+            neg, capped = negative_samples(pos, vocab.entity_ids, index, sample_rng)
+            cap_hits += capped
             try:
                 grad, losses = pair_grad_batch(table, pos, neg)
                 adam_step(table, adam, grad, config.learning_rate)

@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import EmptyDatasetError, FormatError, UnknownTermError
+from .errors import EmptyDatasetError, FormatError, IndexOverflowError, InvalidConfigError, UnknownTermError
 from .ingest import RawTriple
 
 
@@ -161,39 +161,68 @@ def unknown_terms(triples: Iterable[RawTriple], vocab: Vocabulary) -> list[str]:
     return sorted(missing)
 
 
-class TripleIndex:
-    """Set of known triples with (s,p)->o and (p,o)->s projections.
+# Largest id count whose index keys, n**3, fit in int64.
+MAX_INDEX_IDS = 2_097_151
 
-    Backs both filtered ranking and negative-sampling rejection. Immutable
-    by convention once built; safe for concurrent reads.
+
+class TripleIndex:
+    """Known triples as two sorted, unique int64 key arrays.
+
+    With n = largest id + 1, `(s*n + p)*n + o` orders the triples by
+    (s, p) and `(p*n + o)*n + s` by (p, o), so the known completions of a
+    query pair are one contiguous key range. Backs both filtered ranking
+    and negative-sampling rejection. Immutable once built; safe for
+    concurrent reads.
     """
 
-    def __init__(self, triples: Iterable[Triple] = ()):
-        self._set: set[Triple] = set()
-        self._by_sp: dict[tuple[int, int], set[int]] = {}
-        self._by_po: dict[tuple[int, int], set[int]] = {}
-        for t in triples:
-            self.insert(t)
+    def __init__(self, triples=()):
+        t = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+        n = int(t.max()) + 1 if len(t) else 0
+        if n > MAX_INDEX_IDS or (len(t) and int(t.min()) < 0):
+            raise IndexOverflowError(f"triple ids must lie in [0, {MAX_INDEX_IDS}) to fit int64 keys")
+        self._n = n
+        s, p, o = t.T
+        self._spo = np.unique((s * n + p) * n + o)
+        self._pos = np.unique((p * n + o) * n + s)
 
-    def insert(self, t: Triple) -> None:
-        t = Triple(*t)
-        if t in self._set:
-            return
-        self._set.add(t)
-        self._by_sp.setdefault((t.s, t.p), set()).add(t.o)
-        self._by_po.setdefault((t.p, t.o), set()).add(t.s)
+    def contains(self, triples: np.ndarray) -> np.ndarray:
+        """bool[k]: whether each row of `triples[k, 3]` is a known triple."""
+        t = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+        if not len(self._spo):
+            return np.zeros(len(t), dtype=bool)
+        n = self._n
+        ok = np.all((t >= 0) & (t < n), axis=1)
+        keys = (t[:, 0] * n + t[:, 1]) * n + t[:, 2]
+        pos = np.minimum(np.searchsorted(self._spo, keys), len(self._spo) - 1)
+        return ok & (self._spo[pos] == keys)
+
+    def known(self, pairs: np.ndarray, direction: str) -> tuple[np.ndarray, np.ndarray]:
+        """Every known completion of every query pair.
+
+        `pairs` is (Q, 2): (s, p) for direction 'tail', (p, o) for 'head',
+        as in score_candidates. Returns aligned arrays (rows, ids): query
+        row `rows[j]` is completed by id `ids[j]`; rows ascend, and ids
+        ascend within a row.
+        """
+        if direction not in ("head", "tail"):
+            raise InvalidConfigError(f"unknown direction {direction!r}")
+        q = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        n = self._n
+        keys = self._spo if direction == "tail" else self._pos
+        ok = np.all((q >= 0) & (q < n), axis=1)
+        base = (q[:, 0] * n + q[:, 1]) * n
+        lo = np.searchsorted(keys, base)
+        counts = np.where(ok, np.searchsorted(keys, base + n) - lo, 0)
+        rows = np.repeat(np.arange(len(q)), counts)
+        first = np.cumsum(counts) - counts
+        at = np.arange(len(rows)) + np.repeat(lo - first, counts)
+        return rows, keys[at] - base[rows]
 
     def __contains__(self, t) -> bool:
-        return Triple(*t) in self._set
+        return bool(self.contains(np.array([t]))[0])
 
     def __len__(self) -> int:
-        return len(self._set)
-
-    def objects_for(self, s: int, p: int) -> frozenset[int]:
-        return frozenset(self._by_sp.get((s, p), ()))
-
-    def subjects_for(self, p: int, o: int) -> frozenset[int]:
-        return frozenset(self._by_po.get((p, o), ()))
+        return len(self._spo)
 
 
 @dataclass(frozen=True)

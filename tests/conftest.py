@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kgeu import RawTriple, Triple, build_vocabulary, intern
+from kgeu.models import _pair_reg_ids, _sigmoid
 from kgeu.toy import mini_bilingual
 
 
@@ -38,3 +39,68 @@ def random_graph(rng: np.random.Generator, n_entities: int, n_relations: int, n_
         raws.append(RawTriple("r0", "r1", f"e{int(rng.integers(n_entities))}"))
         raws.append(RawTriple(f"e{int(rng.integers(n_entities))}", "r0", "r1"))
     return raws
+
+
+def reference_pair_grad(table, pos: np.ndarray, neg: np.ndarray):
+    """The six-block batch gradient: every (s, p, o) role of the positive
+    and of the negative triple gets its own (B, width) array of
+    coefficient x score-gradient products; the six are concatenated with
+    their ids in that role order and summed with one stable argsort and
+    one np.add.reduceat. Returns (node_ids, node_grads, normal_slots,
+    normal_grads); the last two are None except for transh."""
+    cfg = table.config
+    nodes = table.node_vectors
+
+    def parts(ids):
+        vs, vp, vo = nodes[ids[:, 0]], nodes[ids[:, 1]], nodes[ids[:, 2]]
+        if cfg.model == "complex":
+            k = cfg.dim
+            sr, si, rr, ri, orr, oi = vs[:, :k], vs[:, k:], vp[:, :k], vp[:, k:], vo[:, :k], vo[:, k:]
+            sc = np.sum((sr * rr - si * ri) * orr + (sr * ri + si * rr) * oi, axis=-1)
+            return sc, [np.concatenate([rr * orr + ri * oi, -ri * orr + rr * oi], axis=1),
+                        np.concatenate([sr * orr + si * oi, -si * orr + sr * oi], axis=1),
+                        np.concatenate([sr * rr - si * ri, sr * ri + si * rr], axis=1)], None
+        if cfg.model == "transe":
+            d = vs + vp - vo
+        else:
+            w = table.relation_normals[table.normal_slot(ids[:, 1])]
+            u = vs - vo
+            wu = np.sum(w * u, axis=-1, keepdims=True)
+            d = u - wu * w + vp
+        if cfg.norm == "l2":
+            n = np.linalg.norm(d, axis=-1)
+            unit = d / np.where(n > 0.0, n, 1.0)[:, None]
+        else:
+            n, unit = np.abs(d).sum(axis=-1), np.sign(d)
+        if cfg.model == "transe":
+            return -n, [-unit, -unit, unit], None
+        g = -unit
+        gw = np.sum(g * w, axis=-1, keepdims=True)
+        g_proj = g - gw * w
+        return -n, [g_proj, g, -g_proj], -(gw * u + wu * g)
+
+    def scatter(ids, rows):
+        order = np.argsort(ids, kind="stable")
+        ids_sorted = ids[order]
+        starts = np.flatnonzero(np.r_[True, ids_sorted[1:] != ids_sorted[:-1]])
+        return ids_sorted[starts], np.add.reduceat(rows[order], starts, axis=0)
+
+    sp, p_rows, p_dw = parts(pos)
+    sn, n_rows, n_dw = parts(neg)
+    if cfg.model == "complex":
+        cp = -_sigmoid(-sp)[:, None]
+        cn = _sigmoid(sn)[:, None]
+    else:
+        act = (cfg.margin - sp + sn > 0.0).astype(np.float64)[:, None]
+        cp, cn = -act, act
+    ids = [pos[:, 0], pos[:, 1], pos[:, 2], neg[:, 0], neg[:, 1], neg[:, 2]]
+    rows = [cp * r for r in p_rows] + [cn * r for r in n_rows]
+    if cfg.model == "complex" and cfg.complex_reg > 0.0:
+        ids6, first = _pair_reg_ids(pos, neg)
+        ids.append(ids6[first])
+        rows.append(2.0 * cfg.complex_reg * nodes[ids6[first]])
+    node_ids, node_grads = scatter(np.concatenate(ids), np.concatenate(rows))
+    if cfg.model != "transh":
+        return node_ids, node_grads, None, None
+    slots = np.concatenate([table.normal_slot(pos[:, 1]), table.normal_slot(neg[:, 1])])
+    return (node_ids, node_grads) + scatter(slots, np.concatenate([cp * p_dw, cn * n_dw]))

@@ -111,6 +111,16 @@ def test_train_writes_archive_log_and_manifest(capsys, tmp_path, bilingual_tsv):
     assert log_lines[0].split("\t")[0] == "1"
 
 
+@pytest.mark.parametrize("flag,value", [("--margin", "nan"), ("--complex-reg", "inf"), ("--lr", "nan")])
+def test_train_rejects_non_finite_config(capsys, tmp_path, bilingual_tsv, flag, value):
+    out = tmp_path / "model.kgeu"
+    code, _, err = run(capsys, "train", "--model", "complex", "--dim", "4", "--epochs", "2",
+                       flag, value, "--out", out, bilingual_tsv)
+    assert code == 1
+    assert err.startswith("kgeu: error:")
+    assert not out.exists()
+
+
 def test_train_multi_seed(capsys, tmp_path, bilingual_tsv):
     out = tmp_path / "model.kgeu"
     code, stdout, _ = run(

@@ -260,10 +260,10 @@ def test_evaluate_ranks_equal_score_batch_ranks_under_ties(model):
         for t in triples:
             if direction == "head":
                 scores = score_batch(table, candidates, np.full(c, t.p), np.full(c, t.o))
-                known = index.subjects_for(t.p, t.o) - {t.s}
+                known = {x.s for x in triples if (x.p, x.o) == (t.p, t.o)} - {t.s}
             else:
                 scores = score_batch(table, np.full(c, t.s), np.full(c, t.p), candidates)
-                known = index.objects_for(t.s, t.p) - {t.o}
+                known = {x.o for x in triples if (x.s, x.p) == (t.s, t.p)} - {t.o}
             true_pos = int(np.searchsorted(candidates, t.s if direction == "head" else t.o))
             ties += np.count_nonzero(scores == scores[true_pos]) - 1
             raw.append(rank_from_scores(scores, true_pos))

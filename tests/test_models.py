@@ -21,6 +21,7 @@ from kgeu import (
 )
 from kgeu.evaluator import QUERY_CHUNK
 from kgeu.models import BLOCK_BYTES, MODELS, NORMS, pair_grad_batch
+from conftest import reference_pair_grad
 
 
 def make_table(model="transe", dim=2, norm="l2", n_ids=4, n_props=1, **kw):
@@ -139,6 +140,12 @@ def test_invalid_config():
         ModelConfig(model="nope")
     with pytest.raises(InvalidConfigError):
         ModelConfig(norm="l3")
+    for margin in (0.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidConfigError):
+            ModelConfig(margin=margin)
+    for reg in (-1e-3, float("nan"), float("inf")):
+        with pytest.raises(InvalidConfigError):
+            ModelConfig(model="complex", complex_reg=reg)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +381,33 @@ def test_gradient_matches_finite_differences(model):
         if normal_fd is not None:
             worst = max(worst, max_rel_err(grad.normal_grads, normal_fd))
     assert worst < 1e-4
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("norm", NORMS)
+def test_pair_grad_batch_bitwise_equal_to_six_block_scatter(model, norm):
+    # one pair; then, at row width 200, a batch whose 6B terms span several
+    # scatter blocks and end in a partial one, and whose most common
+    # relation id has a segment longer than a block
+    rng = np.random.default_rng(14)
+    dim = 100 if model == "complex" else 200
+    step = BLOCK_BYTES // (8 * 200)
+    for batch in (1, step - 5):
+        table = random_scoring_table(rng, model, dim, norm, n_ids=40)
+        p = np.where(rng.random(batch) < 0.1, rng.choice(table.property_ids, batch), table.property_ids[0])
+        pos = np.stack([rng.integers(0, 35, batch), p, rng.integers(0, 35, batch)], axis=1)
+        neg = pos.copy()
+        col = np.where(rng.random(batch) < 0.5, 0, 2)
+        neg[np.arange(batch), col] = rng.integers(0, 35, batch)
+        grad, _ = pair_grad_batch(table, pos, neg)
+        node_ids, node_grads, slots, normal_grads = reference_pair_grad(table, pos, neg)
+        assert np.array_equal(grad.node_ids, node_ids)
+        assert np.array_equal(grad.node_grads.view(np.int64), node_grads.view(np.int64))
+        if model == "transh":
+            assert np.array_equal(grad.normal_slots, slots)
+            assert np.array_equal(grad.normal_grads.view(np.int64), normal_grads.view(np.int64))
+        else:
+            assert len(grad.normal_slots) == 0
 
 
 def test_batch_gradient_equals_sum_of_pairs():

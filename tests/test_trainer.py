@@ -15,7 +15,8 @@ from kgeu import (
     build_vocabulary,
     init_embeddings,
     intern,
-    negative_sample,
+    negative_samples,
+    save,
     train,
 )
 from kgeu.models import SparseGrad
@@ -40,20 +41,21 @@ def test_negative_sample_one_candidate_space():
     index = TripleIndex([t])
     rng = np.random.default_rng(0)
     a, b = vocab.entity_id("a"), vocab.entity_id("b")
-    for _ in range(50):
-        neg, capped = negative_sample(t, vocab, index, rng)
-        assert not capped
-        assert neg in (Triple(b, t.p, t.o), Triple(t.s, t.p, a))
+    neg, capped = negative_samples(np.array([t] * 50), vocab.entity_ids, index, rng)
+    assert capped == 0
+    for row in neg.tolist():
+        assert tuple(row) in (Triple(b, t.p, t.o), Triple(t.s, t.p, a))
 
 
 def test_negative_sample_never_touches_predicate(bilingual_vocab, bilingual_triples):
     index = TripleIndex(bilingual_triples)
     rng = np.random.default_rng(1)
-    for i in range(10_000):
-        t = bilingual_triples[i % len(bilingual_triples)]
-        neg, _ = negative_sample(t, vocab=bilingual_vocab, index=index, rng=rng)
-        assert neg.p == t.p
-        assert (neg.s == t.s) != (neg.o == t.o) or neg != t  # exactly one side changed
+    pos = np.array([bilingual_triples[i % len(bilingual_triples)] for i in range(10_000)])
+    neg, _ = negative_samples(pos, bilingual_vocab.entity_ids, index, rng)
+    assert np.array_equal(neg[:, 1], pos[:, 1])
+    same_s, same_o = neg[:, 0] == pos[:, 0], neg[:, 2] == pos[:, 2]
+    assert np.all((same_s != same_o) | np.any(neg != pos, axis=1))  # exactly one side changed
+    assert np.all(same_s | same_o)  # the other side is kept
 
 
 def test_negative_sample_head_tail_balance(bilingual_vocab, bilingual_triples):
@@ -63,24 +65,26 @@ def test_negative_sample_head_tail_balance(bilingual_vocab, bilingual_triples):
     index = TripleIndex(bilingual_triples)
     rng = np.random.default_rng(2)
     t = bilingual_triples[0]
-    heads = 0
     n = 100_000
-    for _ in range(n):
-        neg, _ = negative_sample(t, bilingual_vocab, index, rng)
-        heads += neg.s != t.s
+    neg, _ = negative_samples(np.array([t] * n), bilingual_vocab.entity_ids, index, rng)
+    heads = np.count_nonzero(neg[:, 0] != t.s)
     assert abs(heads / n - 0.5) < 0.01
 
 
 def test_negative_sample_cap_on_saturated_graph():
-    # every corruption is a known positive: the cap must trigger
+    # every corruption with predicate p is a known positive: the cap must
+    # trigger on exactly those rows, while the row with predicate q escapes
     raws = [RawTriple(f"e{i}", "p", f"e{j}") for i in range(3) for j in range(3)]
+    raws.append(RawTriple("e0", "q", "e1"))
     vocab = build_vocabulary(raws, unify=True)
     triples = intern(raws, vocab).triples
     index = TripleIndex(triples)
     rng = np.random.default_rng(3)
-    neg, capped = negative_sample(triples[0], vocab, index, rng)
-    assert capped
-    assert neg in index
+    neg, capped = negative_samples(np.array(triples), vocab.entity_ids, index, rng)
+    known = index.contains(neg)
+    assert capped == 9
+    assert capped == np.count_nonzero(known)
+    assert np.all(known[:9]) and not known[9]
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +163,26 @@ def test_adam_matches_scalar_reference():
     assert table.node_vectors[0, 0] == pytest.approx(ref_theta, rel=1e-12)
 
 
+def test_adam_bitwise_equal_to_reference_formula():
+    # the in-place update keeps the operation order of the textbook
+    # vectorized form, so parameters and both moments agree bit for bit
+    table, adam = make_table_and_adam(dim=16, n_ids=40)
+    params, m, v = table.node_vectors.copy(), np.zeros_like(table.node_vectors), np.zeros_like(table.node_vectors)
+    b1, b2, eps, lr = adam.beta1, adam.beta2, adam.eps, 0.01
+    rng = np.random.default_rng(8)
+    for step in range(1, 6):
+        ids = np.sort(rng.choice(len(params), size=15, replace=False))
+        grads = rng.normal(size=(15, table.config.width))
+        adam_step(table, adam, SparseGrad(table.config.width, table.config.dim, ids, grads), lr)
+        m[ids] = b1 * m[ids] + (1.0 - b1) * grads
+        v[ids] = b2 * v[ids] + (1.0 - b2) * grads ** 2
+        m_hat = m[ids] / (1.0 - b1 ** step)
+        v_hat = v[ids] / (1.0 - b2 ** step)
+        params[ids] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        for got, want in ((table.node_vectors, params), (adam.m_nodes, m), (adam.v_nodes, v)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_adam_bounded_step_under_constant_gradient():
     _, deltas = reference_adam_scalar([2.5] * 5000, lr=0.01)
     assert abs(deltas[-1]) == pytest.approx(0.01, rel=1e-4)
@@ -188,8 +212,9 @@ def test_adam_rejects_non_finite():
 def test_config_invariants():
     with pytest.raises(InvalidConfigError):
         small_config(epochs=0)
-    with pytest.raises(InvalidConfigError):
-        small_config(learning_rate=0.0)
+    for lr in (0.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidConfigError):
+            small_config(learning_rate=lr)
     with pytest.raises(InvalidConfigError):
         small_config(batch_size=0)
     with pytest.raises(InvalidConfigError):
@@ -209,6 +234,15 @@ def test_train_deterministic(bilingual_vocab, bilingual_triples):
     b = train(bilingual_triples, bilingual_vocab, cfg)
     assert np.array_equal(a.table.node_vectors, b.table.node_vectors)
     assert [s.mean_loss for s in a.log] == [s.mean_loss for s in b.log]
+
+
+@pytest.mark.parametrize("model", ["transe", "transh", "complex"])
+def test_train_same_seed_same_archive_bytes(tmp_path, bilingual_vocab, bilingual_triples, model):
+    cfg = small_config(model=ModelConfig(model=model, dim=8), epochs=20, batch_size=2)
+    paths = [tmp_path / f"{k}.kgeu" for k in range(2)]
+    for path in paths:
+        save(train(bilingual_triples, bilingual_vocab, cfg).table, bilingual_vocab, cfg, path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_train_seed_changes_result(bilingual_vocab, bilingual_triples):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from kgeu import (
     EmptyDatasetError,
     FormatError,
+    IndexOverflowError,
     RawTriple,
     Triple,
     TripleIndex,
@@ -16,6 +17,7 @@ from kgeu import (
     parse_vocabulary,
     unknown_terms,
 )
+from kgeu.vocab import MAX_INDEX_IDS
 from conftest import random_graph
 
 
@@ -142,13 +144,49 @@ def test_triple_index_matches_linear_scan():
     vocab = build_vocabulary(raws, unify=True)
     triples = intern(raws, vocab).triples
     index = TripleIndex(triples)
-    keys_sp = {(t.s, t.p) for t in triples}
-    keys_po = {(t.p, t.o) for t in triples}
-    for s, p in keys_sp:
-        assert index.objects_for(s, p) == {t.o for t in triples if (t.s, t.p) == (s, p)}
-    for p, o in keys_po:
-        assert index.subjects_for(p, o) == {t.s for t in triples if (t.p, t.o) == (p, o)}
-    assert index.objects_for(999, 999) == frozenset()
+    keys_sp = sorted({(t.s, t.p) for t in triples})
+    keys_po = sorted({(t.p, t.o) for t in triples})
+    for direction, pairs, want in (
+        ("tail", keys_sp, lambda s, p: {t.o for t in triples if (t.s, t.p) == (s, p)}),
+        ("head", keys_po, lambda p, o: {t.s for t in triples if (t.p, t.o) == (p, o)}),
+    ):
+        rows, ids = index.known(pairs + [(999, 999)], direction)
+        for q, pair in enumerate(pairs):
+            assert set(ids[rows == q].tolist()) == want(*pair)
+        assert not np.any(rows == len(pairs))
+
+
+id_triples = st.lists(st.tuples(*[st.integers(0, 6)] * 3), max_size=40)
+
+
+@given(id_triples, st.lists(st.tuples(*[st.integers(-3, 9)] * 3), min_size=1, max_size=40))
+@settings(max_examples=100)
+def test_triple_index_agrees_with_set_oracle(triples, probes):
+    # probes reach past both ends of the id range; the empty index is drawn too
+    index = TripleIndex(triples)
+    known = set(triples)
+    assert len(index) == len(known)
+    probes = np.array(probes, dtype=np.int64)
+    assert index.contains(probes).tolist() == [tuple(t) in known for t in probes.tolist()]
+    assert all((tuple(t) in index) == (tuple(t) in known) for t in probes.tolist())
+    for direction, cols, out in (("tail", [0, 1], 2), ("head", [1, 2], 0)):
+        rows, ids = index.known(probes[:, [cols[0], cols[1]]], direction)
+        assert np.all(np.diff(rows) >= 0)
+        for q, t in enumerate(probes.tolist()):
+            want = sorted({k[out] for k in known if [k[c] for c in cols] == [t[c] for c in cols]})
+            assert ids[rows == q].tolist() == want
+
+
+def test_triple_index_key_overflow_is_an_error():
+    top = MAX_INDEX_IDS - 1
+    index = TripleIndex([(top, top, top), (0, top, 1)])  # n**3 still fits int64
+    assert index.contains([(top, top, top), (top, top, 0)]).tolist() == [True, False]
+    rows, ids = index.known([(top, 1), (top, top)], "head")
+    assert rows.tolist() == [0, 1] and ids.tolist() == [0, top]
+    with pytest.raises(IndexOverflowError):
+        TripleIndex([(0, 0, MAX_INDEX_IDS)])
+    with pytest.raises(IndexOverflowError):
+        TripleIndex([(0, -1, 1)])
 
 
 def test_dataset_stats_bilingual(bilingual_vocab, bilingual_triples):
