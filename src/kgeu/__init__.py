@@ -41,14 +41,10 @@ from .models import (
     gradient,
     init_embeddings,
     pair_grad_batch,
-    pair_loss,
     pair_loss_batch,
     score,
     score_batch,
     score_candidates,
-    score_complex,
-    score_transe,
-    score_transh,
 )
 from .trainer import AdamState, TrainConfig, TrainResult, adam_step, negative_samples, train
 from .evaluator import (

@@ -12,12 +12,13 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import KgeError
+from .errors import InvalidConfigError, KgeError
 from .evaluator import (
     EvalConfig,
     candidate_set,
@@ -67,11 +68,17 @@ def _sha256(path: Path) -> str:
 
 
 def _worker_count(n_jobs: int) -> int:
+    """KGEU_THREADS, unset or empty for all cores, capped at the job count."""
+    value = os.environ.get("KGEU_THREADS", "")
+    if not value:
+        return min(os.cpu_count() or 1, n_jobs)
     try:
-        workers = int(os.environ.get("KGEU_THREADS", ""))
+        workers = int(value)
     except ValueError:
-        workers = os.cpu_count() or 1
-    return max(1, min(workers, n_jobs))
+        workers = 0
+    if workers < 1:
+        raise InvalidConfigError(f"KGEU_THREADS must be a positive integer, got {value!r}")
+    return min(workers, n_jobs)
 
 
 def _load_raw(paths: list[Path], fmt: str, keep_literals: bool):
@@ -143,15 +150,14 @@ def _train_config(args) -> TrainConfig:
 
 def _run_one_seed(payload) -> tuple[int, str, int]:
     """Train one seed; top-level so a process pool can pickle it."""
-    raws, unify, config_dict, seed, out_path, log_path = payload
+    raws, unify, config, out_path, log_path = payload
     vocab = build_vocabulary(raws, unify=unify)
     triples = intern(raws, vocab).triples
-    config = TrainConfig(model=ModelConfig(**config_dict.pop("model")), **config_dict, seed=seed)
     result = train(triples, vocab, config)
     save(result.table, vocab, config, out_path)
     if log_path:
         Path(log_path).write_text(result.log_text(), encoding="utf-8")
-    return seed, str(out_path), result.rejection_cap_hits
+    return config.seed, str(out_path), result.rejection_cap_hits
 
 
 def cmd_train(args) -> int:
@@ -159,26 +165,14 @@ def cmd_train(args) -> int:
     if dropped:
         print(f"literals-dropped={dropped}", file=sys.stderr)
     base = _train_config(args)
-    config_dict = {
-        "model": {
-            "model": base.model.model, "dim": base.model.dim, "norm": base.model.norm,
-            "margin": base.model.margin, "complex_reg": base.model.complex_reg,
-        },
-        "learning_rate": base.learning_rate,
-        "epochs": base.epochs,
-        "batch_size": base.batch_size,
-        "negatives": base.negatives,
-        "share": base.share,
-    }
 
     out = Path(args.out)
     seeds = list(range(args.seed, args.seed + args.seeds))
     jobs = []
     for seed in seeds:
-        suffix = f".s{seed}" if args.seeds > 1 else ""
-        archive = out.with_name(out.name + suffix) if suffix else out
+        archive = out.with_name(f"{out.name}.s{seed}") if args.seeds > 1 else out
         log_path = str(archive) + ".log" if args.log else None
-        jobs.append((raws, args.unify, dict(config_dict, model=dict(config_dict["model"])), seed, str(archive), log_path))
+        jobs.append((raws, args.unify, replace(base, seed=seed), str(archive), log_path))
 
     workers = _worker_count(len(jobs))
     if workers > 1:
@@ -195,7 +189,8 @@ def cmd_train(args) -> int:
             line += f" negative-sampling-cap-hits={cap_hits}"
         print(line)
 
-    manifest_cfg = dict(config_dict, seeds=seeds, unify=args.unify)
+    manifest_cfg = dict(asdict(base), seeds=seeds, unify=args.unify)
+    del manifest_cfg["seed"]
     manifest_path = Path(args.manifest) if args.manifest else Path(str(out) + ".manifest.json")
     _write_manifest(manifest_path, "train", manifest_cfg, [args.train], outputs)
     return 0

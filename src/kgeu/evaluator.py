@@ -9,7 +9,7 @@ score counts against it, so a constant scorer earns the worst-case rank.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -221,12 +221,9 @@ def evaluate(
         n_candidates=len(candidates),
         hits_k=config.hits_k,
         candidate_policy=config.candidate_policy,
-        mean_rank_raw=combined.mean_rank_raw,
-        mean_rank_filtered=combined.mean_rank_filtered,
-        hits_raw=combined.hits_raw,
-        hits_filtered=combined.hits_filtered,
-        head=head or empty,
-        tail=tail or empty,
+        **vars(combined),
+        head=head,
+        tail=tail,
     )
 
 
@@ -263,29 +260,15 @@ def summarize_reports(reports: list[EvalReport], hits_k: int) -> tuple[EvalRepor
     if not reports:
         raise InvalidConfigError("no reports to summarize")
 
-    def mean(getter):
-        return float(np.mean([getter(r) for r in reports]))
+    def mean_stats(stats: list) -> dict:
+        return {f.name: float(np.mean([getattr(x, f.name) for x in stats])) for f in fields(DirectionStats)}
 
-    def mean_dir(which: str) -> DirectionStats:
-        return DirectionStats(
-            mean_rank_raw=mean(lambda r: getattr(r, which).mean_rank_raw),
-            mean_rank_filtered=mean(lambda r: getattr(r, which).mean_rank_filtered),
-            hits_raw=mean(lambda r: getattr(r, which).hits_raw),
-            hits_filtered=mean(lambda r: getattr(r, which).hits_filtered),
-        )
-
-    first = reports[0]
-    avg = EvalReport(
-        n_triples=first.n_triples,
-        n_candidates=first.n_candidates,
+    avg = replace(
+        reports[0],
         hits_k=hits_k,
-        candidate_policy=first.candidate_policy,
-        mean_rank_raw=mean(lambda r: r.mean_rank_raw),
-        mean_rank_filtered=mean(lambda r: r.mean_rank_filtered),
-        hits_raw=mean(lambda r: r.hits_raw),
-        hits_filtered=mean(lambda r: r.hits_filtered),
-        head=mean_dir("head"),
-        tail=mean_dir("tail"),
+        **mean_stats(reports),
+        head=DirectionStats(**mean_stats([r.head for r in reports])),
+        tail=DirectionStats(**mean_stats([r.tail for r in reports])),
     )
     best = min(reports, key=lambda r: r.mean_rank_filtered)
     return avg, best

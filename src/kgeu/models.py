@@ -27,6 +27,16 @@ MODELS = ("transe", "transh", "complex")
 NORMS = ("l1", "l2")
 
 
+def is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def is_finite_real(x) -> bool:
+    """An int or float (not a bool) that is neither infinite nor nan;
+    compared, not converted, so a huge int cannot overflow."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and -math.inf < x < math.inf
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     model: str = "transe"
@@ -38,13 +48,13 @@ class ModelConfig:
     def __post_init__(self):
         if self.model not in MODELS:
             raise InvalidConfigError(f"unknown model {self.model!r}")
-        if self.dim <= 0:
-            raise InvalidConfigError("dim must be positive")
+        if not (is_int(self.dim) and self.dim > 0):
+            raise InvalidConfigError("dim must be a positive integer")
         if self.norm not in NORMS:
             raise InvalidConfigError(f"unknown norm {self.norm!r}")
-        if not (math.isfinite(self.margin) and self.margin > 0):
+        if not (is_finite_real(self.margin) and self.margin > 0):
             raise InvalidConfigError("margin must be positive and finite")
-        if not (math.isfinite(self.complex_reg) and self.complex_reg >= 0):
+        if not (is_finite_real(self.complex_reg) and self.complex_reg >= 0):
             raise InvalidConfigError("complex_reg must be non-negative and finite")
 
     @property
@@ -284,21 +294,6 @@ def score(table: EmbeddingTable, t: Triple) -> float:
     return float(score_batch(table, s, p, o)[0])
 
 
-def score_transe(table: EmbeddingTable, t: Triple) -> float:
-    assert table.config.model == "transe"
-    return score(table, t)
-
-
-def score_transh(table: EmbeddingTable, t: Triple) -> float:
-    assert table.config.model == "transh"
-    return score(table, t)
-
-
-def score_complex(table: EmbeddingTable, t: Triple) -> float:
-    assert table.config.model == "complex"
-    return score(table, t)
-
-
 # ---------------------------------------------------------------------------
 # Pair loss and gradients
 # ---------------------------------------------------------------------------
@@ -317,18 +312,6 @@ class SparseGrad:
     node_grads: np.ndarray | None = None
     normal_slots: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     normal_grads: np.ndarray | None = None
-
-    def node_grad(self, id_: int) -> np.ndarray:
-        i = np.searchsorted(self.node_ids, id_)
-        if i == len(self.node_ids) or self.node_ids[i] != id_:
-            return np.zeros(self.width)
-        return self.node_grads[i]
-
-    def normal_grad(self, slot: int) -> np.ndarray:
-        i = np.searchsorted(self.normal_slots, slot)
-        if i == len(self.normal_slots) or self.normal_slots[i] != slot:
-            return np.zeros(self.dim)
-        return self.normal_grads[i]
 
     def max_abs(self) -> float:
         m = 0.0
@@ -540,12 +523,6 @@ def _complex_grad(table, pos, neg):
         rows = np.concatenate([rows, table.node_vectors[reg_ids]])
     node_ids, node_grads = scatter_sum(ids, rows, src, coef)
     return SparseGrad(cfg.width, cfg.dim, node_ids, node_grads), losses
-
-
-def pair_loss(table: EmbeddingTable, positive: Triple, negative: Triple) -> float:
-    pos = np.array([positive], dtype=np.int64)
-    neg = np.array([negative], dtype=np.int64)
-    return float(pair_loss_batch(table, pos, neg)[0])
 
 
 def gradient(table: EmbeddingTable, positive: Triple, negative: Triple) -> SparseGrad:

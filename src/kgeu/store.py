@@ -17,12 +17,14 @@ trip is bitwise exact.
 """
 
 import json
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatchError, FormatError
-from .models import EmbeddingTable, ModelConfig
+from .errors import DimensionMismatchError, FormatError, InvalidConfigError
+from .models import EmbeddingTable
 from .trainer import TrainConfig
 from .vocab import Vocabulary, dump_vocabulary, parse_vocabulary
 
@@ -30,31 +32,12 @@ MAGIC = b"KGEU1\n"
 FORMAT_VERSION = 1
 
 
-def _header_dict(config: TrainConfig, vocab: Vocabulary) -> dict:
-    m = config.model
-    return {
-        "format_version": FORMAT_VERSION,
-        "model": m.model,
-        "dim": m.dim,
-        "norm": m.norm,
-        "margin": m.margin,
-        "complex_reg": m.complex_reg,
-        "learning_rate": config.learning_rate,
-        "epochs": config.epochs,
-        "batch_size": config.batch_size,
-        "negatives": config.negatives,
-        "corruption": config.corruption,
-        "share": config.share,
-        "seed": config.seed,
-        "unify": vocab.unify,
-    }
-
-
 def save(table: EmbeddingTable, vocab: Vocabulary, config: TrainConfig, path: str | Path) -> None:
     """Write the archive; the table must be finite."""
     if not table.all_finite():
         raise FormatError("refusing to save non-finite parameters")
-    header = json.dumps(_header_dict(config, vocab), sort_keys=True, separators=(",", ":")).encode()
+    header = dict(config.to_dict(), format_version=FORMAT_VERSION, unify=vocab.unify)
+    header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     vocab_bytes = dump_vocabulary(vocab).encode()
     payload = table.node_vectors.astype("<f8").tobytes()
     if table.relation_normals is not None:
@@ -77,6 +60,11 @@ def _read_sized(f, what: str) -> bytes:
         n = int(line[:-1])
     except ValueError:
         raise FormatError(f"bad {what} length") from None
+    # f.read(n) allocates n bytes up front: refuse a length past the end
+    # of a regular file first (a pipe has no size to check against)
+    st = os.fstat(f.fileno())
+    if n < 0 or (stat.S_ISREG(st.st_mode) and n > st.st_size - f.tell()):
+        raise FormatError(f"truncated {what}")
     data = f.read(n)
     if len(data) != n:
         raise FormatError(f"truncated {what}")
@@ -84,39 +72,37 @@ def _read_sized(f, what: str) -> bytes:
 
 
 def load(path: str | Path) -> tuple[EmbeddingTable, Vocabulary, TrainConfig]:
-    """Read an archive back; validates version, shapes, and finiteness."""
+    """Read an archive back; validates version, header schema and types,
+    shapes, and finiteness. Any malformed archive raises FormatError."""
     with open(path, "rb") as f:
         if f.read(len(MAGIC)) != MAGIC:
             raise FormatError("bad magic: not a model archive")
         try:
             header = json.loads(_read_sized(f, "header"))
-        except json.JSONDecodeError:
-            raise FormatError("header is not valid JSON") from None
-        if header.get("format_version") != FORMAT_VERSION:
-            raise FormatError(f"unsupported format version {header.get('format_version')!r}")
-        vocab = parse_vocabulary(_read_sized(f, "vocabulary").decode(), unify=header["unify"])
+        except ValueError:
+            raise FormatError("header is not valid UTF-8 JSON") from None
+        if not isinstance(header, dict):
+            raise FormatError("archive header: not a JSON object")
+        version = header.pop("format_version", None)
+        if version != FORMAT_VERSION:
+            raise FormatError(f"unsupported format version {version!r}")
+        unify = header.pop("unify", None)
+        if not isinstance(unify, bool):
+            raise FormatError(f"archive header: unify must be true or false, got {unify!r}")
+        try:
+            config = TrainConfig.from_dict(header)
+        except InvalidConfigError as e:
+            raise FormatError(f"archive header: {e}") from None
+        try:
+            vocab_text = _read_sized(f, "vocabulary").decode()
+        except UnicodeDecodeError:
+            raise FormatError("vocabulary is not valid UTF-8") from None
+        vocab = parse_vocabulary(vocab_text, unify=unify)
         payload = _read_sized(f, "payload")
         if f.read(1):
             raise FormatError("trailing bytes after payload")
 
-    model_cfg = ModelConfig(
-        model=header["model"],
-        dim=header["dim"],
-        norm=header["norm"],
-        margin=header["margin"],
-        complex_reg=header["complex_reg"],
-    )
-    config = TrainConfig(
-        model=model_cfg,
-        learning_rate=header["learning_rate"],
-        epochs=header["epochs"],
-        batch_size=header["batch_size"],
-        negatives=header["negatives"],
-        corruption=header["corruption"],
-        share=header["share"],
-        seed=header["seed"],
-    )
-
+    model_cfg = config.model
     n_nodes = len(vocab)
     n_props = len(vocab.property_ids)
     width = model_cfg.width

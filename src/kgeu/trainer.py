@@ -6,9 +6,8 @@ negative sampling), batches sum pair gradients in fixed index order, and
 all arithmetic is float64.
 """
 
-import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -18,6 +17,8 @@ from .models import (
     ModelConfig,
     SparseGrad,
     init_embeddings,
+    is_finite_real,
+    is_int,
     pair_grad_batch,
     renormalize_entities,
     renormalize_normals,
@@ -40,18 +41,40 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+        if not (is_finite_real(self.learning_rate) and self.learning_rate > 0):
             raise InvalidConfigError("learning_rate must be positive and finite")
-        if self.epochs < 1:
-            raise InvalidConfigError("epochs must be at least 1")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise InvalidConfigError("batch_size must be at least 1")
-        if self.negatives < 1:
-            raise InvalidConfigError("negatives must be at least 1")
+        if not (is_int(self.epochs) and self.epochs >= 1):
+            raise InvalidConfigError("epochs must be an integer of at least 1")
+        if self.batch_size is not None and not (is_int(self.batch_size) and self.batch_size >= 1):
+            raise InvalidConfigError("batch_size must be an integer of at least 1")
+        if not (is_int(self.negatives) and self.negatives >= 1):
+            raise InvalidConfigError("negatives must be an integer of at least 1")
+        if not (is_int(self.seed) and self.seed >= 0):
+            raise InvalidConfigError("seed must be a non-negative integer")
         if self.corruption != "uniform":
             raise InvalidConfigError(f"unknown corruption scheme {self.corruption!r}")
         if self.share not in ("always", "init-only"):
             raise InvalidConfigError(f"unknown share mode {self.share!r}")
+
+    def to_dict(self) -> dict:
+        """Every field by name, the model's fields inlined: the archive
+        header's config keys."""
+        d = asdict(self)
+        return dict(d.pop("model"), **d)
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "TrainConfig":
+        """Inverse of to_dict; a missing or unknown key, or a value that
+        breaks an invariant, raises InvalidConfigError."""
+        model_keys = [f.name for f in fields(ModelConfig)]
+        own_keys = [f.name for f in fields(cls) if f.name != "model"]
+        for k in model_keys + own_keys:
+            if k not in d:
+                raise InvalidConfigError(f"missing key {k!r}")
+        for k in d:
+            if k not in model_keys + own_keys:
+                raise InvalidConfigError(f"unknown key {k!r}")
+        return cls(model=ModelConfig(**{k: d[k] for k in model_keys}), **{k: d[k] for k in own_keys})
 
     def resolved_batch_size(self, n_triples: int) -> int:
         if self.batch_size is not None:

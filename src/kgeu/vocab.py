@@ -283,6 +283,8 @@ def parse_vocabulary(text: str, unify: bool) -> Vocabulary:
             raise FormatError(f"vocabulary line {line_no}: bad role {roles!r}")
         if roles == "EP" and not unify:
             raise FormatError(f"vocabulary line {line_no}: shared id in a non-unified vocabulary")
+        if unify and (term in vocab._entity_id or term in vocab._property_id):
+            raise FormatError(f"vocabulary line {line_no}: term {term!r} has a second id in a unified vocabulary")
         vocab.id_to_term.append(term)
         if "E" in roles:
             if term in vocab._entity_id:

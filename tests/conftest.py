@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,32 @@ def random_graph(rng: np.random.Generator, n_entities: int, n_relations: int, n_
         raws.append(RawTriple("r0", "r1", f"e{int(rng.integers(n_entities))}"))
         raws.append(RawTriple(f"e{int(rng.integers(n_entities))}", "r0", "r1"))
     return raws
+
+
+def edit_header(archive: bytes, edit) -> bytes:
+    """The archive with its JSON header replaced by `edit(header)`, which
+    may return any JSON value; the header's length line is rewritten."""
+    magic, length, rest = archive.split(b"\n", 2)
+    n = int(length)
+    header = json.dumps(edit(json.loads(rest[:n]))).encode()
+    return magic + b"\n%d\n" % len(header) + header + rest[n:]
+
+
+def _grad_row(keys: np.ndarray, rows: np.ndarray | None, key: int, width: int) -> np.ndarray:
+    i = np.searchsorted(keys, key)
+    if i == len(keys) or keys[i] != key:
+        return np.zeros(width)
+    return rows[i]
+
+
+def node_grad(grad, id_: int) -> np.ndarray:
+    """Gradient row of node `id_` in a SparseGrad; zeros if untouched."""
+    return _grad_row(grad.node_ids, grad.node_grads, id_, grad.width)
+
+
+def normal_grad(grad, slot: int) -> np.ndarray:
+    """Gradient of transh normal `slot` in a SparseGrad; zeros if untouched."""
+    return _grad_row(grad.normal_slots, grad.normal_grads, slot, grad.dim)
 
 
 def reference_pair_grad(table, pos: np.ndarray, neg: np.ndarray):

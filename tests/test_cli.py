@@ -7,6 +7,7 @@ import pytest
 from kgeu import candidate_set, load, score_batch, write_tsv, write_ntriples
 from kgeu.cli import build_parser, main, _train_config
 from kgeu.toy import mini_bilingual
+from conftest import edit_header
 
 
 @pytest.fixture(autouse=True)
@@ -104,6 +105,11 @@ def test_train_writes_archive_log_and_manifest(capsys, tmp_path, bilingual_tsv):
     assert manifest["command"] == "train"
     assert manifest["config"]["model"]["dim"] == 8
     assert manifest["config"]["unify"] is True
+    assert manifest["config"] == {  # TrainConfig's fields without seed, plus seeds and unify
+        "model": {"model": "transe", "dim": 8, "norm": "l2", "margin": 1.0, "complex_reg": 1e-3},
+        "learning_rate": 0.05, "epochs": 5, "batch_size": None, "negatives": 1,
+        "corruption": "uniform", "share": "always", "seeds": [0], "unify": True,
+    }
     assert str(bilingual_tsv) in manifest["inputs"]
     assert len(manifest["inputs"][str(bilingual_tsv)]) == 64  # sha-256 hex
     log_lines = (tmp_path / "model.kgeu.log").read_text().splitlines()
@@ -119,6 +125,49 @@ def test_train_rejects_non_finite_config(capsys, tmp_path, bilingual_tsv, flag, 
     assert code == 1
     assert err.startswith("kgeu: error:")
     assert not out.exists()
+
+
+def test_train_rejects_negative_seed(capsys, tmp_path, bilingual_tsv):
+    out = tmp_path / "model.kgeu"
+    code, _, err = run(capsys, "train", "--model", "transe", "--dim", "4", "--epochs", "2",
+                       "--seed", "-1", "--out", out, bilingual_tsv)
+    assert code == 1
+    assert err.startswith("kgeu: error:") and "seed" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-3", "1.5"])
+def test_train_rejects_bad_kgeu_threads(capsys, monkeypatch, tmp_path, bilingual_tsv, threads):
+    monkeypatch.setenv("KGEU_THREADS", threads)
+    out = tmp_path / "model.kgeu"
+    code, _, err = run(capsys, "train", "--model", "transe", "--dim", "4", "--epochs", "2",
+                       "--out", out, bilingual_tsv)
+    assert code == 1
+    assert err.startswith("kgeu: error:") and "KGEU_THREADS" in err
+    assert not out.exists()
+
+
+def test_train_empty_kgeu_threads_is_the_default(capsys, monkeypatch, tmp_path, bilingual_tsv):
+    monkeypatch.setenv("KGEU_THREADS", "")
+    code, _, _ = run(capsys, "train", "--model", "transe", "--dim", "4", "--epochs", "2",
+                     "--out", tmp_path / "model.kgeu", bilingual_tsv)
+    assert code == 0
+
+
+def test_process_pool_archives_equal_serial_archives(capsys, monkeypatch, tmp_path, bilingual_tsv):
+    outputs = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("KGEU_THREADS", threads)
+        out = tmp_path / threads / "model.kgeu"
+        out.parent.mkdir()
+        code, stdout, _ = run(capsys, "train", "--model", "transh", "--dim", "4", "--epochs", "5",
+                              "--lr", "0.05", "--seeds", "2", "--log", "--out", out, bilingual_tsv)
+        assert code == 0
+        files = sorted(p.name for p in out.parent.iterdir() if p.name != "model.kgeu.manifest.json")
+        assert files == ["model.kgeu.s0", "model.kgeu.s0.log", "model.kgeu.s1", "model.kgeu.s1.log"]
+        outputs[threads] = (stdout.replace(str(out.parent), ""),
+                            [(out.parent / f).read_bytes() for f in files if not f.endswith(".log")])
+    assert outputs["1"] == outputs["2"]
 
 
 def test_train_multi_seed(capsys, tmp_path, bilingual_tsv):
@@ -324,3 +373,22 @@ def test_gen_toy_deterministic(capsys, tmp_path):
     run(capsys, "gen-toy", "--seed", "9", "--out", b)
     assert (a / "train.tsv").read_bytes() == (b / "train.tsv").read_bytes()
     assert (a / "test.tsv").read_bytes() == (b / "test.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: {k: v for k, v in h.items() if k != "unify"},
+    lambda h: {k: v for k, v in h.items() if k != "model"},
+    lambda h: dict(h, dim="8"),
+    lambda h: [h],
+    lambda h: dict(h, epochs=2.5),
+    lambda h: dict(h, seed=None),
+], ids=["no-unify", "no-model", "dim-str", "list", "epochs-float", "seed-null"])
+def test_archive_with_bad_header_is_an_error(capsys, tmp_path, bilingual_tsv, trained_archive, edit):
+    bad = tmp_path / "bad.kgeu"
+    bad.write_bytes(edit_header(trained_archive.read_bytes(), edit))
+    for argv in (("eval", bad, bilingual_tsv),
+                 ("predict", "--subject", "ex:A", "--predicate", "ex:birthplace", bad)):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("kgeu: error: archive header")
+        assert "Traceback" not in err

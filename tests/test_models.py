@@ -15,13 +15,10 @@ from kgeu import (
     score,
     score_batch,
     score_candidates,
-    score_complex,
-    score_transe,
-    score_transh,
 )
 from kgeu.evaluator import QUERY_CHUNK
 from kgeu.models import BLOCK_BYTES, MODELS, NORMS, pair_grad_batch
-from conftest import reference_pair_grad
+from conftest import node_grad, normal_grad, reference_pair_grad
 
 
 def make_table(model="transe", dim=2, norm="l2", n_ids=4, n_props=1, **kw):
@@ -146,6 +143,11 @@ def test_invalid_config():
     for reg in (-1e-3, float("nan"), float("inf")):
         with pytest.raises(InvalidConfigError):
             ModelConfig(model="complex", complex_reg=reg)
+    for bad in (dict(dim=8.0), dict(dim=True), dict(dim="8"), dict(dim=None), dict(model=1),
+                dict(norm=None), dict(margin="1"), dict(margin=True), dict(margin=None),
+                dict(complex_reg=[0.1]), dict(complex_reg=False)):
+        with pytest.raises(InvalidConfigError):
+            ModelConfig(**bad)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +159,7 @@ def test_transe_exact_translation_scores_zero():
     table.node_vectors[0] = (1, 0)   # s
     table.node_vectors[3] = (0, 1)   # p
     table.node_vectors[1] = (1, 1)   # o
-    assert score_transe(table, Triple(0, 3, 1)) == 0.0
+    assert score(table, Triple(0, 3, 1)) == 0.0
 
 
 def test_transe_l1_l2_arithmetic():
@@ -166,7 +168,7 @@ def test_transe_l1_l2_arithmetic():
         table.node_vectors[0] = (1, 2)
         table.node_vectors[3] = (3, -1)
         table.node_vectors[1] = (0, 0)
-        assert score_transe(table, Triple(0, 3, 1)) == pytest.approx(expected, abs=1e-12)
+        assert score(table, Triple(0, 3, 1)) == pytest.approx(expected, abs=1e-12)
 
 
 def test_transh_projection_kills_normal_component():
@@ -175,7 +177,7 @@ def test_transh_projection_kills_normal_component():
     table.node_vectors[0] = (5, 1)
     table.node_vectors[1] = (9, 1)
     table.node_vectors[3] = (0, 0)
-    assert score_transh(table, Triple(0, 3, 1)) == pytest.approx(0.0, abs=1e-12)
+    assert score(table, Triple(0, 3, 1)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_transh_arithmetic():
@@ -184,7 +186,7 @@ def test_transh_arithmetic():
     table.node_vectors[0] = (1, 1)
     table.node_vectors[3] = (1, 0)
     table.node_vectors[1] = (2, 5)
-    assert score_transh(table, Triple(0, 3, 1)) == pytest.approx(0.0, abs=1e-12)
+    assert score(table, Triple(0, 3, 1)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_transh_self_loop_zero_translation():
@@ -192,7 +194,7 @@ def test_transh_self_loop_zero_translation():
     table.relation_normals[0] = np.array([0.6, 0.8])
     table.node_vectors[0] = (0.3, -0.7)
     table.node_vectors[3] = (0, 0)
-    assert score_transh(table, Triple(0, 3, 0)) == pytest.approx(0.0, abs=1e-12)
+    assert score(table, Triple(0, 3, 0)) == pytest.approx(0.0, abs=1e-12)
 
 
 def complex_row(values):
@@ -206,7 +208,7 @@ def test_complex_real_identity():
     table.node_vectors[0] = complex_row([1 + 0j])
     table.node_vectors[3] = complex_row([1 + 0j])
     table.node_vectors[1] = complex_row([1 + 0j])
-    assert score_complex(table, Triple(0, 3, 1)) == pytest.approx(1.0)
+    assert score(table, Triple(0, 3, 1)) == pytest.approx(1.0)
 
 
 def test_complex_imaginary_product():
@@ -214,7 +216,7 @@ def test_complex_imaginary_product():
     table.node_vectors[0] = complex_row([1j])
     table.node_vectors[3] = complex_row([1j])
     table.node_vectors[1] = complex_row([1 + 0j])
-    assert score_complex(table, Triple(0, 3, 1)) == pytest.approx(-1.0)
+    assert score(table, Triple(0, 3, 1)) == pytest.approx(-1.0)
 
 
 def test_complex_antisymmetric_with_imaginary_relation():
@@ -222,7 +224,7 @@ def test_complex_antisymmetric_with_imaginary_relation():
     table.node_vectors[0] = complex_row([1 + 0j])
     table.node_vectors[1] = complex_row([1j])
     table.node_vectors[4] = complex_row([0.7j])
-    assert score_complex(table, Triple(0, 4, 1)) == pytest.approx(-score_complex(table, Triple(1, 4, 0)))
+    assert score(table, Triple(0, 4, 1)) == pytest.approx(-score(table, Triple(1, 4, 0)))
 
 
 def test_complex_symmetric_with_real_relation():
@@ -426,8 +428,8 @@ def test_batch_gradient_equals_sum_of_pairs():
         for i, (p, n) in enumerate(pairs):
             assert pair_loss_batch(table, pos[i : i + 1], neg[i : i + 1])[0] == pytest.approx(batch_losses[i])
         for id_ in batch_grad.node_ids:
-            summed = sum(gradient(table, p, n).node_grad(id_) for p, n in pairs)
-            assert np.allclose(batch_grad.node_grad(id_), summed, atol=1e-12)
+            summed = sum(node_grad(gradient(table, p, n), id_) for p, n in pairs)
+            assert np.allclose(node_grad(batch_grad, id_), summed, atol=1e-12)
         for slot in batch_grad.normal_slots:
-            summed = sum(gradient(table, p, n).normal_grad(slot) for p, n in pairs)
-            assert np.allclose(batch_grad.normal_grad(slot), summed, atol=1e-12)
+            summed = sum(normal_grad(gradient(table, p, n), slot) for p, n in pairs)
+            assert np.allclose(normal_grad(batch_grad, slot), summed, atol=1e-12)

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from kgeu import (
     DimensionMismatchError,
@@ -15,6 +18,8 @@ from kgeu import (
     train,
 )
 from kgeu.store import MAGIC
+from kgeu.toy import mini_bilingual
+from conftest import edit_header
 
 
 def trained(bilingual_raws, model="transe", dim=4, unify=True, epochs=15):
@@ -154,3 +159,125 @@ def test_non_finite_load_rejected(tmp_path, bilingual_raws):
     path.write_bytes(bytes(data))
     with pytest.raises(FormatError):
         load(path)
+
+
+def without(key):
+    return lambda h: {k: v for k, v in h.items() if k != key}
+
+
+def setting(key, value):
+    return lambda h: dict(h, **{key: value})
+
+
+@pytest.mark.parametrize("edit", [
+    without("unify"), without("model"), without("seed"), setting("dim", "8"), lambda h: [h],
+    lambda h: None, setting("epochs", 2.5), setting("seed", None), setting("seed", -1),
+    setting("batch_size", 0), setting("margin", "nan"), setting("unify", "yes"), setting("unify", 1),
+    setting("model", "transd"), setting("extra", 1),
+], ids=["no-unify", "no-model", "no-seed", "dim-str", "list", "null", "epochs-float", "seed-null",
+        "seed-negative", "batch-zero", "margin-str", "unify-str", "unify-int", "model-unknown", "extra-key"])
+def test_bad_header_is_format_error(tmp_path, bilingual_raws, edit):
+    table, vocab, cfg, _ = trained(bilingual_raws, epochs=1)
+    path = tmp_path / "model.kgeu"
+    save(table, vocab, cfg, path)
+    path.write_bytes(edit_header(path.read_bytes(), edit))
+    with pytest.raises(FormatError, match="archive header"):
+        load(path)
+
+
+def test_header_edit_that_keeps_the_schema_loads(tmp_path, bilingual_raws):
+    table, vocab, cfg, _ = trained(bilingual_raws, epochs=1)
+    path = tmp_path / "model.kgeu"
+    save(table, vocab, cfg, path)
+    path.write_bytes(edit_header(path.read_bytes(), setting("seed", 77)))
+    assert load(path)[2] == replace(cfg, seed=77)
+
+
+def test_invalid_utf8_is_format_error(tmp_path, bilingual_raws):
+    table, vocab, cfg, _ = trained(bilingual_raws, epochs=1)
+    path = tmp_path / "model.kgeu"
+    save(table, vocab, cfg, path)
+    data = path.read_bytes()
+    for target in (b'"model"', b"ex:A"):  # one in the header, one in the vocabulary
+        path.write_bytes(data.replace(target, target[:-1] + b"\xff", 1))
+        with pytest.raises(FormatError, match="UTF-8"):
+            load(path)
+
+
+def test_section_length_past_the_end_is_format_error(tmp_path, bilingual_raws):
+    table, vocab, cfg, _ = trained(bilingual_raws, epochs=1)
+    path = tmp_path / "model.kgeu"
+    save(table, vocab, cfg, path)
+    magic, length, rest = path.read_bytes().split(b"\n", 2)
+    for n in (b"99999999999999999999999999", b"-1", b"%d" % (len(rest) + 1)):
+        path.write_bytes(magic + b"\n" + n + b"\n" + rest)
+        with pytest.raises(FormatError, match="truncated header"):
+            load(path)
+
+
+HEADER_KEYS = ["format_version", "unify", "model", "dim", "norm", "margin", "complex_reg", "learning_rate",
+               "epochs", "batch_size", "negatives", "corruption", "share", "seed", "extra"]
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8),
+    st.sampled_from(["transe", "transh", "complex", "l1", "l2", "uniform", "always", "init-only"]),
+    st.lists(st.integers(), max_size=2), st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+def _truncate(data, at):
+    return data[:at % (len(data) + 1)]
+
+
+def _flip(data, bit):
+    if not data:
+        return data
+    bit %= 8 * len(data)
+    out = bytearray(data)
+    out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+def _insert(data, at, chunk):
+    at %= len(data) + 1
+    return data[:at] + chunk + data[at:]
+
+
+def _edit_key(data, key, value, delete):
+    try:
+        return edit_header(data, without(key) if delete else setting(key, value))
+    except (ValueError, TypeError, AttributeError):  # an earlier mutation broke the header already
+        return data
+
+
+MUTATIONS = st.lists(st.one_of(
+    st.tuples(st.just(_truncate), st.integers(0, 1 << 16)),
+    st.tuples(st.just(_flip), st.integers(0, 1 << 20)),
+    st.tuples(st.just(_insert), st.integers(0, 1 << 16), st.binary(min_size=1, max_size=12)),
+    st.tuples(st.just(_edit_key), st.sampled_from(HEADER_KEYS), JSON_VALUES, st.booleans()),
+), min_size=1, max_size=3)
+
+
+@pytest.fixture(scope="module")
+def fuzz_archives(tmp_path_factory):
+    raws = mini_bilingual()
+    out = tmp_path_factory.mktemp("fuzz")
+    archives = []
+    for model in ("transe", "transh", "complex"):
+        table, vocab, cfg, _ = trained(raws, model=model, dim=2, epochs=1)
+        save(table, vocab, cfg, out / "model.kgeu")
+        archives.append((out / "model.kgeu").read_bytes())
+    return out / "mutated.kgeu", archives
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(which=st.integers(0, 2), mutations=MUTATIONS)
+def test_corrupted_archive_loads_or_raises_format_error(fuzz_archives, which, mutations):
+    path, archives = fuzz_archives
+    data = archives[which]
+    for fn, *args in mutations:
+        data = fn(data, *args)
+    path.write_bytes(data)
+    try:
+        load(path)
+    except FormatError:  # DimensionMismatchError included
+        pass

@@ -221,6 +221,29 @@ def test_config_invariants():
         small_config(negatives=0)
     with pytest.raises(InvalidConfigError):
         small_config(corruption="bernoulli")
+    for bad in (dict(epochs=2.5), dict(epochs=True), dict(batch_size=4.0), dict(batch_size=False),
+                dict(negatives=True), dict(negatives="2"), dict(seed=None), dict(seed=-1),
+                dict(seed=1.0), dict(seed=True), dict(learning_rate="0.1"), dict(learning_rate=True),
+                dict(corruption=None), dict(share=None), dict(share=1)):
+        with pytest.raises(InvalidConfigError):
+            small_config(**bad)
+
+
+def test_config_dict_round_trip():
+    cfg = small_config(model=ModelConfig(model="complex", dim=4, norm="l1"), batch_size=3,
+                       negatives=2, share="init-only", seed=5)
+    d = cfg.to_dict()
+    assert sorted(d) == sorted(["model", "dim", "norm", "margin", "complex_reg", "learning_rate", "epochs",
+                                "batch_size", "negatives", "corruption", "share", "seed"])
+    assert d["model"] == "complex" and d["dim"] == 4 and d["seed"] == 5
+    assert TrainConfig.from_dict(d) == cfg
+    for key in d:
+        with pytest.raises(InvalidConfigError, match="missing"):
+            TrainConfig.from_dict({k: v for k, v in d.items() if k != key})
+    with pytest.raises(InvalidConfigError, match="unknown"):
+        TrainConfig.from_dict(dict(d, extra=1))
+    with pytest.raises(InvalidConfigError):
+        TrainConfig.from_dict(dict(d, dim="4"))
 
 
 def test_train_empty_dataset(bilingual_vocab):

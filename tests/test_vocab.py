@@ -243,3 +243,12 @@ def test_parse_vocabulary_rejects_garbage():
 def test_parse_vocabulary_non_integer_id_is_format_error():
     with pytest.raises(FormatError, match="not an integer"):
         parse_vocabulary("x\tfoo\tE\n", unify=True)
+
+
+def test_parse_vocabulary_unified_term_with_two_ids_is_format_error():
+    with pytest.raises(FormatError, match="second id"):
+        parse_vocabulary("0\tx\tE\n1\tx\tP\n", unify=True)
+    with pytest.raises(FormatError, match="second id"):
+        parse_vocabulary("0\tx\tEP\n1\tx\tE\n", unify=True)
+    vocab = parse_vocabulary("0\tx\tE\n1\tx\tP\n", unify=False)  # two roles, two ids: fine apart
+    assert vocab.entity_id("x") == 0 and vocab.property_id("x") == 1
