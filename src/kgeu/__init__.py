@@ -38,11 +38,8 @@ from .models import (
     EmbeddingTable,
     ModelConfig,
     SparseGrad,
-    gradient,
     init_embeddings,
     pair_grad_batch,
-    pair_loss_batch,
-    score,
     score_batch,
     score_candidates,
 )
@@ -53,10 +50,8 @@ from .evaluator import (
     candidate_set,
     evaluate,
     model_label,
-    rank,
-    rank_from_scores,
     render_report_table,
     summarize_reports,
 )
-from .toy import ToySpec, generate_toy, mini_bilingual
+from .toy import ToySpec, generate_toy
 from .store import load, save

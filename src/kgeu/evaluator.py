@@ -56,19 +56,6 @@ def candidate_set(vocab: Vocabulary, policy: str = "entities-only") -> np.ndarra
     return np.union1d(vocab.entity_ids, shared)
 
 
-def rank_from_scores(scores: np.ndarray, true_pos: int, excluded: np.ndarray | None = None) -> int:
-    """Pessimistic rank of the candidate at `true_pos`.
-
-    rank = 1 + number of non-excluded other candidates scoring >= the
-    true answer. Monotone transforms of the scores leave it unchanged.
-    """
-    others = np.ones(len(scores), dtype=bool)
-    if excluded is not None:
-        others &= ~excluded
-    others[true_pos] = False
-    return 1 + int(np.count_nonzero(scores[others] >= scores[true_pos]))
-
-
 def _queries(triples: np.ndarray, direction: str) -> np.ndarray:
     """score_candidates queries for (n, 3) triples: (p, o) for head, (s, p) for tail."""
     return triples[:, 1:] if direction == "head" else triples[:, :2]
@@ -112,19 +99,6 @@ def _chunk_ranks(table: EmbeddingTable, triples: np.ndarray, direction: str, can
         raise RuntimeError(f"filtered rank {filt[bad]} exceeds raw rank {raw[bad]} "
                            f"for {direction} of {Triple(*triples[bad].tolist())}")
     return raw, filt
-
-
-def rank(
-    table: EmbeddingTable,
-    t: Triple,
-    direction: str,
-    candidates: np.ndarray,
-    index: TripleIndex,
-    filtered: bool,
-) -> int:
-    """Rank of the true answer when `direction` is predicted for `t`."""
-    raw, filt = _chunk_ranks(table, np.array([t], dtype=np.int64), direction, candidates, index)
-    return int(filt[0] if filtered else raw[0])
 
 
 @dataclass(frozen=True)

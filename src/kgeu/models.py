@@ -8,6 +8,12 @@ Three scoring functions over one row-per-id table:
 * complex: score(s,p,o) = Re( sum_k s_k * r_k * conj(o_k) ), rows storing
            dim real parts followed by dim imaginary parts
 
+Each model has two scoring paths, bitwise equal to each other: the
+triple scorer `_score_parts`, which also returns the score gradients and
+serves training, `score_batch` and `predict --direction relation`; and
+the cache-blocked `score_candidates`, which serves `eval` and predict
+head/tail.
+
 A unified vocabulary id owns a single row, so a term's entity-role and
 relation-role vectors are the same storage and stay identical through
 training. Gradients are analytic, returned sparsely for exactly the rows
@@ -21,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidConfigError
-from .vocab import Triple, Vocabulary
+from .vocab import Vocabulary
 
 MODELS = ("transe", "transh", "complex")
 NORMS = ("l1", "l2")
@@ -165,26 +171,55 @@ def _complex_parts(rows: np.ndarray, dim: int):
     return rows[..., :dim], rows[..., dim:]
 
 
-def score_batch(table: EmbeddingTable, s: np.ndarray, p: np.ndarray, o: np.ndarray) -> np.ndarray:
-    """Scores for aligned id arrays; higher means more plausible."""
+def _score_parts(table: EmbeddingTable, ids: np.ndarray):
+    """Scores of a (n, 3) id array and their gradients.
+
+    Returns (scores, rows, blocks, signs, grad_w): dscore/d(role k) of
+    triple r is signs[k] * rows[blocks[k] * n + r] for the roles
+    (s, p, o); grad_w is transh's dscore/dw, else None.
+
+    transe:  rows = unit(d), the gradient of ||d|| for d = v_s + v_p - v_o
+    transh:  rows = [g_proj; g] with g = dscore/dd and g_proj its projection
+    complex: rows = [dscore/ds; dscore/dr; dscore/do]
+    """
     cfg = table.config
-    vs = table.node_vectors[s]
-    vp = table.node_vectors[p]
-    vo = table.node_vectors[o]
+    nodes = table.node_vectors
     if cfg.model == "transe":
-        n, _ = _norm_and_unit(vs + vp - vo, cfg.norm)
-        return -n
+        d = nodes[ids[:, 0]]
+        d += nodes[ids[:, 1]]
+        d -= nodes[ids[:, 2]]
+        n, unit = _norm_and_unit(d, cfg.norm)
+        return -n, unit, (0, 0, 0), (-1.0, -1.0, 1.0), None
+    vs, vp, vo = nodes[ids[:, 0]], nodes[ids[:, 1]], nodes[ids[:, 2]]
     if cfg.model == "transh":
-        w = table.relation_normals[table.normal_slot(p)]
+        w = table.relation_normals[table.normal_slot(ids[:, 1])]
         u = vs - vo
-        d = u - (np.sum(w * u, axis=-1, keepdims=True)) * w + vp
-        n, _ = _norm_and_unit(d, cfg.norm)
-        return -n
+        wu = np.sum(w * u, axis=-1, keepdims=True)
+        d = u - wu * w + vp
+        n, unit = _norm_and_unit(d, cfg.norm)
+        g = -unit                                   # dscore/dd
+        gw = np.sum(g * w, axis=-1, keepdims=True)
+        g_proj = g - gw * w                         # dscore/dvs; dvo is its negation
+        grad_w = -(gw * u + wu * g)                 # dscore/dw
+        return -n, np.concatenate([g_proj, g]), (0, 1, 0), (1.0, 1.0, -1.0), grad_w
     dim = cfg.dim
     sr, si = _complex_parts(vs, dim)
     rr, ri = _complex_parts(vp, dim)
     orr, oi = _complex_parts(vo, dim)
-    return np.sum((sr * rr - si * ri) * orr + (sr * ri + si * rr) * oi, axis=-1)
+    sc = np.sum((sr * rr - si * ri) * orr + (sr * ri + si * rr) * oi, axis=-1)
+    grads = np.empty((3, len(ids), 2 * dim))
+    grads[0, :, :dim] = rr * orr + ri * oi
+    grads[0, :, dim:] = -ri * orr + rr * oi
+    grads[1, :, :dim] = sr * orr + si * oi
+    grads[1, :, dim:] = -si * orr + sr * oi
+    grads[2, :, :dim] = sr * rr - si * ri
+    grads[2, :, dim:] = sr * ri + si * rr
+    return sc, grads.reshape(3 * len(ids), 2 * dim), (0, 1, 2), (1.0, 1.0, 1.0), None
+
+
+def score_batch(table: EmbeddingTable, s: np.ndarray, p: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """Scores for aligned id arrays; higher means more plausible."""
+    return _score_parts(table, np.stack([s, p, o], axis=1))[0]
 
 
 # Bytes of one block of candidate rows in score_candidates: a block and its
@@ -288,12 +323,6 @@ def score_candidates(
     return out
 
 
-def score(table: EmbeddingTable, t: Triple) -> float:
-    """Score one triple with the table's own model."""
-    s, p, o = (np.array([v], dtype=np.int64) for v in (t.s, t.p, t.o))
-    return float(score_batch(table, s, p, o)[0])
-
-
 # ---------------------------------------------------------------------------
 # Pair loss and gradients
 # ---------------------------------------------------------------------------
@@ -384,150 +413,64 @@ def _pair_reg_ids(pos: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, np.ndar
     return ids6, first
 
 
-def pair_loss_batch(table: EmbeddingTable, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
-    """Per-pair training loss for aligned (B,3) positive/negative id arrays.
+def _role_terms(both: np.ndarray, dscore: np.ndarray,
+                blocks: tuple[int, int, int], signs: tuple[float, float, float]):
+    """Scatter terms of a pair batch's (s, p, o) role rows.
 
-    Margin models: max(0, margin - score(pos) + score(neg)).
-    complex: softplus(-score(pos)) + softplus(score(neg)) plus complex_reg
-    times the squared L2 norm of each distinct row the pair touches.
+    Row r of the (2B, 3) `both = [pos; neg]` has dL/dscore `dscore[r]`;
+    its role k takes gradient row `blocks[k] * 2B + r` with sign
+    `signs[k]`. Terms come in the order pos s, pos p, pos o, neg s, neg p,
+    neg o, each in batch order. Returns (ids, src, coef) for scatter_sum.
     """
-    cfg = table.config
-    sp = score_batch(table, pos[:, 0], pos[:, 1], pos[:, 2])
-    sn = score_batch(table, neg[:, 0], neg[:, 1], neg[:, 2])
-    if cfg.model in ("transe", "transh"):
-        return np.maximum(0.0, cfg.margin - sp + sn)
-    loss = _softplus(-sp) + _softplus(sn)
-    if cfg.complex_reg > 0.0:
-        ids6, first = _pair_reg_ids(pos, neg)
-        sq = np.sum(table.node_vectors[ids6] ** 2, axis=-1)
-        loss = loss + cfg.complex_reg * np.sum(sq * first, axis=1)
-    return loss
+    n = len(both) // 2
+    ids = both.reshape(2, n, 3).transpose(0, 2, 1).ravel()
+    r = np.arange(2 * n).reshape(2, 1, n)
+    src = (np.array([2 * n * k for k in blocks]).reshape(1, 3, 1) + r).ravel()
+    coef = (np.array(signs).reshape(1, 3, 1) * dscore.reshape(2, 1, n)).ravel()
+    return ids, src, coef
 
 
 def pair_grad_batch(
     table: EmbeddingTable, pos: np.ndarray, neg: np.ndarray
 ) -> tuple[SparseGrad, np.ndarray]:
-    """Analytic gradient of pair_loss_batch summed over the batch.
+    """Per-pair training losses of aligned (B,3) positive/negative id
+    arrays, and their analytic gradient summed over the batch.
 
-    Returns the sparse gradient and the per-pair losses. Rows shared
-    between roles or between the two triples accumulate every
-    contribution they receive.
+    Margin models: max(0, margin - score(pos) + score(neg)).
+    complex: softplus(-score(pos)) + softplus(score(neg)) plus complex_reg
+    times the squared L2 norm of each distinct row the pair touches.
+    Returns the sparse gradient and the losses. Rows shared between roles
+    or between the two triples accumulate every contribution they receive.
     """
-    cfg = table.config
-    if cfg.model in ("transe", "transh"):
-        return _margin_grad(table, pos, neg)
-    return _complex_grad(table, pos, neg)
-
-
-def _role_terms(pos: np.ndarray, neg: np.ndarray, dscore: np.ndarray,
-                offsets: tuple[int, int, int], signs: tuple[float, float, float]):
-    """Scatter terms of a pair batch's (s, p, o) role rows.
-
-    Row r of `both = [pos; neg]` has dL/dscore `dscore[r]`; its role k
-    takes gradient row `offsets[k] + r` with sign `signs[k]`. Terms come
-    in the order pos s, pos p, pos o, neg s, neg p, neg o, each in batch
-    order. Returns (ids, src, coef) for scatter_sum.
-    """
-    n = len(pos)
-    ids = np.concatenate([pos, neg]).reshape(2, n, 3).transpose(0, 2, 1).ravel()
-    r = np.arange(2 * n).reshape(2, 1, n)
-    src = (np.array(offsets).reshape(1, 3, 1) + r).ravel()
-    coef = (np.array(signs).reshape(1, 3, 1) * dscore.reshape(2, 1, n)).ravel()
-    return ids, src, coef
-
-
-def _margin_score_parts(table: EmbeddingTable, ids: np.ndarray):
-    """Scores of a (n,3) id array and its distinct score-gradient rows.
-
-    transe: dscore/d(s, p, o) = (-unit, -unit, +unit); returns unit.
-    transh: dscore/d(s, p, o) = (g_proj, g, -g_proj) and dscore/dw;
-    returns [g_proj; g] and dscore/dw.
-    """
-    cfg = table.config
-    nodes = table.node_vectors
-    if cfg.model == "transe":
-        d = nodes[ids[:, 0]]
-        d += nodes[ids[:, 1]]
-        d -= nodes[ids[:, 2]]
-        n, unit = _norm_and_unit(d, cfg.norm)
-        return -n, unit, None
-    vs, vp, vo = nodes[ids[:, 0]], nodes[ids[:, 1]], nodes[ids[:, 2]]
-    w = table.relation_normals[table.normal_slot(ids[:, 1])]
-    u = vs - vo
-    wu = np.sum(w * u, axis=-1, keepdims=True)
-    d = u - wu * w + vp
-    n, unit = _norm_and_unit(d, cfg.norm)
-    g = -unit                                   # dscore/dd
-    gw = np.sum(g * w, axis=-1, keepdims=True)
-    g_proj = g - gw * w                         # dscore/dvs; dvo is its negation
-    grad_w = -(gw * u + wu * g)                 # dscore/dw
-    return -n, np.concatenate([g_proj, g]), grad_w
-
-
-def _margin_grad(table, pos, neg):
     cfg = table.config
     b = len(pos)
     both = np.concatenate([pos, neg])
-    sc, rows, grad_w = _margin_score_parts(table, both)
-    viol = cfg.margin - sc[:b] + sc[b:]
-    losses = np.maximum(0.0, viol)
-    act = (viol > 0.0).astype(np.float64)
-    # dL/dscore(pos) = -1, dL/dscore(neg) = +1 where the hinge is active
-    dscore = np.concatenate([-act, act])
-    if cfg.model == "transe":  # rows: unit
-        ids, src, coef = _role_terms(pos, neg, dscore, (0, 0, 0), (-1.0, -1.0, 1.0))
-    else:                      # rows: [g_proj; g]
-        ids, src, coef = _role_terms(pos, neg, dscore, (0, 2 * b, 0), (1.0, 1.0, -1.0))
-    node_ids, node_grads = scatter_sum(ids, rows, src, coef)
-    grad = SparseGrad(cfg.width, cfg.dim, node_ids, node_grads)
-    if cfg.model == "transh":
-        slots = table.normal_slot(both[:, 1])
-        grad.normal_slots, grad.normal_grads = scatter_sum(slots, grad_w, coef=dscore)
-    return grad, losses
-
-
-def _complex_score_parts(table: EmbeddingTable, ids: np.ndarray):
-    """Scores of a (n,3) id array and dscore/d(s, r, o) as a (3, n, width) array."""
-    dim = table.config.dim
-    sr, si = _complex_parts(table.node_vectors[ids[:, 0]], dim)
-    rr, ri = _complex_parts(table.node_vectors[ids[:, 1]], dim)
-    orr, oi = _complex_parts(table.node_vectors[ids[:, 2]], dim)
-    sc = np.sum((sr * rr - si * ri) * orr + (sr * ri + si * rr) * oi, axis=-1)
-    grads = np.empty((3, len(ids), 2 * dim))
-    grads[0, :, :dim] = rr * orr + ri * oi
-    grads[0, :, dim:] = -ri * orr + rr * oi
-    grads[1, :, :dim] = sr * orr + si * oi
-    grads[1, :, dim:] = -si * orr + sr * oi
-    grads[2, :, :dim] = sr * rr - si * ri
-    grads[2, :, dim:] = sr * ri + si * rr
-    return sc, grads
-
-
-def _complex_grad(table, pos, neg):
-    cfg = table.config
-    b = len(pos)
-    sc, grads = _complex_score_parts(table, np.concatenate([pos, neg]))
+    sc, rows, blocks, signs, grad_w = _score_parts(table, both)
     sp, sn = sc[:b], sc[b:]
-    losses = _softplus(-sp) + _softplus(sn)
-    dscore = np.concatenate([-_sigmoid(-sp), _sigmoid(sn)])
-    ids, src, coef = _role_terms(pos, neg, dscore, (0, 2 * b, 4 * b), (1.0, 1.0, 1.0))
-    rows = grads.reshape(6 * b, cfg.width)
-    if cfg.complex_reg > 0.0:
-        ids6, first = _pair_reg_ids(pos, neg)
-        sq = np.sum(table.node_vectors[ids6] ** 2, axis=-1)
-        losses = losses + cfg.complex_reg * np.sum(sq * first, axis=1)
-        reg_ids = ids6[first]
+    reg_ids = None
+    if cfg.model == "complex":
+        losses = _softplus(-sp) + _softplus(sn)
+        dscore = np.concatenate([-_sigmoid(-sp), _sigmoid(sn)])
+        if cfg.complex_reg > 0.0:
+            ids6, first = _pair_reg_ids(pos, neg)
+            sq = np.sum(table.node_vectors[ids6] ** 2, axis=-1)
+            losses = losses + cfg.complex_reg * np.sum(sq * first, axis=1)
+            reg_ids = ids6[first]
+    else:
+        viol = cfg.margin - sp + sn
+        losses = np.maximum(0.0, viol)
+        act = (viol > 0.0).astype(np.float64)
+        # dL/dscore(pos) = -1, dL/dscore(neg) = +1 where the hinge is active
+        dscore = np.concatenate([-act, act])
+    ids, src, coef = _role_terms(both, dscore, blocks, signs)
+    if reg_ids is not None:
         ids = np.concatenate([ids, reg_ids])
-        src = np.concatenate([src, np.arange(6 * b, 6 * b + len(reg_ids))])
+        src = np.concatenate([src, np.arange(len(rows), len(rows) + len(reg_ids))])
         coef = np.concatenate([coef, np.full(len(reg_ids), 2.0 * cfg.complex_reg)])
         rows = np.concatenate([rows, table.node_vectors[reg_ids]])
     node_ids, node_grads = scatter_sum(ids, rows, src, coef)
-    return SparseGrad(cfg.width, cfg.dim, node_ids, node_grads), losses
-
-
-def gradient(table: EmbeddingTable, positive: Triple, negative: Triple) -> SparseGrad:
-    """Sparse gradient of the pair loss for one positive/negative pair."""
-    pos = np.array([positive], dtype=np.int64)
-    neg = np.array([negative], dtype=np.int64)
-    grad, _ = pair_grad_batch(table, pos, neg)
-    return grad
+    grad = SparseGrad(cfg.width, cfg.dim, node_ids, node_grads)
+    if grad_w is not None:
+        slots = table.normal_slot(both[:, 1])
+        grad.normal_slots, grad.normal_grads = scatter_sum(slots, grad_w, coef=dscore)
+    return grad, losses

@@ -18,19 +18,6 @@ from .ingest import RawTriple
 TRANSLATION = "x:translation"
 
 
-def mini_bilingual(entity_links: bool = False) -> list[RawTriple]:
-    """The minimal two-language example: one fact, its mirror, and the
-    property-level translation link (optionally the entity-level one)."""
-    triples = [
-        RawTriple("ex:A", "ex:birthplace", "ex:Spain"),
-        RawTriple("ex:B", "ex:shusshin", "ex:Supein"),
-        RawTriple("ex:birthplace", "ex:honyaku", "ex:shusshin"),
-    ]
-    if entity_links:
-        triples.append(RawTriple("ex:Spain", "ex:honyaku", "ex:Supein"))
-    return triples
-
-
 @dataclass(frozen=True)
 class ToySpec:
     n_facts: int = 120

@@ -268,7 +268,8 @@ def dump_vocabulary(vocab: Vocabulary) -> str:
 def parse_vocabulary(text: str, unify: bool) -> Vocabulary:
     """Rebuild a Vocabulary from its dump; inverse of dump_vocabulary."""
     vocab = Vocabulary(unify)
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    lines = text.split("\n")  # not splitlines(): a term may hold U+0085, \v, \f, ...
+    for line_no, line in enumerate(lines[:-1] if lines[-1] == "" else lines, start=1):
         fields = line.split("\t")
         if len(fields) != 3:
             raise FormatError(f"vocabulary line {line_no}: expected 3 fields")

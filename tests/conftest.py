@@ -1,11 +1,98 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from kgeu import RawTriple, Triple, build_vocabulary, intern
+from kgeu import RawTriple, Triple, build_vocabulary, intern, pair_grad_batch, score_batch
+from kgeu.evaluator import _chunk_ranks
 from kgeu.models import _pair_reg_ids, _sigmoid
-from kgeu.toy import mini_bilingual
+
+
+def mini_bilingual(entity_links: bool = False) -> list[RawTriple]:
+    """The minimal two-language example: one fact, its mirror, and the
+    property-level translation link (optionally the entity-level one)."""
+    triples = [
+        RawTriple("ex:A", "ex:birthplace", "ex:Spain"),
+        RawTriple("ex:B", "ex:shusshin", "ex:Supein"),
+        RawTriple("ex:birthplace", "ex:honyaku", "ex:shusshin"),
+    ]
+    if entity_links:
+        triples.append(RawTriple("ex:Spain", "ex:honyaku", "ex:Supein"))
+    return triples
+
+
+def score(table, t) -> float:
+    """score_batch of the one triple `t`."""
+    return float(score_batch(table, *(np.array([v]) for v in t))[0])
+
+
+def gradient(table, positive, negative):
+    """pair_grad_batch's sparse gradient of one positive/negative pair."""
+    return pair_grad_batch(table, np.array([positive]), np.array([negative]))[0]
+
+
+def rank(table, t, direction, candidates, index, filtered: bool) -> int:
+    """evaluate()'s rank of the true answer when `direction` is predicted for `t`."""
+    raw, filt = _chunk_ranks(table, np.array([t]), direction, candidates, index)
+    return int(filt[0] if filtered else raw[0])
+
+
+def reference_rank(scores: np.ndarray, true_pos: int, excluded: np.ndarray | None = None) -> int:
+    """Pessimistic rank of the candidate at `true_pos`: 1 + the number of
+    non-excluded other candidates scoring >= the true answer."""
+    others = np.ones(len(scores), dtype=bool)
+    if excluded is not None:
+        others &= ~excluded
+    others[true_pos] = False
+    return 1 + int(np.count_nonzero(scores[others] >= scores[true_pos]))
+
+
+def oracle_score(table, s, p, o) -> float:
+    """One triple's score from the model definitions with plain arithmetic:
+    an explicit projection for transh, Python complex numbers for complex."""
+    cfg = table.config
+    vs = table.node_vectors[s]
+    vp = table.node_vectors[p]
+    vo = table.node_vectors[o]
+    if cfg.model == "transe":
+        d = vs + vp - vo
+    elif cfg.model == "transh":
+        slot = list(table.property_ids).index(p)
+        w = table.relation_normals[slot]
+        d = (vs - float(np.dot(w, vs)) * w) + vp - (vo - float(np.dot(w, vo)) * w)
+    else:
+        k = cfg.dim
+        total = 0.0
+        for i in range(k):
+            sc = complex(vs[i], vs[k + i]) * complex(vp[i], vp[k + i]) * complex(vo[i], -vo[k + i])
+            total += sc.real
+        return total
+    if cfg.norm == "l1":
+        return -float(np.sum(np.abs(d)))
+    return -float(np.sqrt(np.sum(d * d)))
+
+
+def _softplus(x: float) -> float:
+    return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
+
+
+def reference_pair_loss(table, pos, neg) -> np.ndarray:
+    """Per-pair training loss from the model definitions, one pair at a
+    time and with no kgeu scoring or loss code: max(0, margin - score(pos)
+    + score(neg)) for transe and transh; for complex, softplus(-score(pos))
+    + softplus(score(neg)) plus complex_reg times the squared norm of each
+    distinct row the pair touches."""
+    cfg = table.config
+    losses = []
+    for p, n in zip(np.asarray(pos).tolist(), np.asarray(neg).tolist()):
+        sp, sn = oracle_score(table, *p), oracle_score(table, *n)
+        if cfg.model != "complex":
+            losses.append(max(0.0, cfg.margin - sp + sn))
+            continue
+        reg = sum(float(np.dot(table.node_vectors[i], table.node_vectors[i])) for i in set(p) | set(n))
+        losses.append(_softplus(-sp) + _softplus(sn) + cfg.complex_reg * reg)
+    return np.array(losses)
 
 
 @pytest.fixture

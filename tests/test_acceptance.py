@@ -23,17 +23,15 @@ from kgeu import (
     build_vocabulary,
     candidate_set,
     evaluate,
-    gradient,
     init_embeddings,
     intern,
     load,
-    rank,
     train,
 )
 from kgeu.cli import main
-from kgeu.models import pair_loss_batch
-from kgeu.toy import ToySpec, generate_toy, mini_bilingual
+from kgeu.toy import ToySpec, generate_toy
 
+from conftest import mini_bilingual, rank
 from test_models import fd_gradient, max_rel_err, random_instance
 from test_evaluator import build_random_model, oracle_evaluate
 

@@ -4,10 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from kgeu import candidate_set, load, score_batch, write_tsv, write_ntriples
+from kgeu import build_vocabulary, candidate_set, load, parse_tsv, score_batch, write_tsv, write_ntriples
 from kgeu.cli import build_parser, main, _train_config
-from kgeu.toy import mini_bilingual
-from conftest import edit_header
+from conftest import edit_header, mini_bilingual
 
 
 @pytest.fixture(autouse=True)
@@ -290,26 +289,44 @@ def test_predict_known_filter(capsys, tmp_path, bilingual_tsv, trained_archive):
     assert "ex:Spain" not in filtered
 
 
-@pytest.mark.parametrize("direction", ["head", "tail"])
+@pytest.mark.parametrize("direction", ["head", "tail", "relation"])
 def test_predict_top_k_matches_score_batch_order(capsys, trained_archive, direction):
     table, vocab, _ = load(trained_archive)
-    candidates = candidate_set(vocab)
+    candidates = vocab.property_ids if direction == "relation" else candidate_set(vocab)
     c = len(candidates)
+    s, o = np.full(c, vocab.entity_id("ex:A")), np.full(c, vocab.entity_id("ex:Spain"))
     p = np.full(c, vocab.property_id("ex:birthplace"))
     if direction == "tail":
-        flag, term = "--subject", "ex:A"
-        scores = score_batch(table, np.full(c, vocab.entity_id(term)), p, candidates)
+        query = ("--subject", "ex:A", "--predicate", "ex:birthplace")
+        scores = score_batch(table, s, p, candidates)
+    elif direction == "head":
+        query = ("--object", "ex:Spain", "--predicate", "ex:birthplace")
+        scores = score_batch(table, candidates, p, o)
     else:
-        flag, term = "--object", "ex:Spain"
-        scores = score_batch(table, candidates, p, np.full(c, vocab.entity_id(term)))
+        query = ("--subject", "ex:A", "--object", "ex:Spain")
+        scores = score_batch(table, s, candidates, o)
     order = np.argsort(-scores, kind="stable")[:4]
     expected = "".join(f"{vocab.term(int(candidates[i]))}\t{scores[i]:.6f}\n" for i in order)
-    code, stdout, _ = run(
-        capsys, "predict", "--direction", direction, flag, term,
-        "--predicate", "ex:birthplace", "-k", "4", trained_archive,
-    )
+    code, stdout, _ = run(capsys, "predict", "--direction", direction, *query, "-k", "4", trained_archive)
     assert code == 0
     assert stdout == expected
+
+
+@pytest.mark.parametrize("char", ["\x85", "\u2028", "\u2029", "\v", "\f", "\x1c", "\x1d", "\x1e"])
+def test_term_with_a_line_break_other_than_lf_round_trips(capsys, tmp_path, char):
+    # str.splitlines() breaks at these too; the vocabulary dump must not
+    term = f"ex:a{char}b"
+    data = tmp_path / "train.tsv"
+    data.write_text(f"{term}\tex:p\tex:c\nex:c\tex:p\t{term}\n", encoding="utf-8")
+    out = tmp_path / "m.kgeu"
+    code, _, _ = run(capsys, "train", "--model", "transe", "--dim", "4", "--epochs", "1", "--out", out, data)
+    assert code == 0
+    _, vocab, _ = load(out)
+    assert vocab.id_to_term == build_vocabulary(parse_tsv(data.read_text(encoding="utf-8")), unify=True).id_to_term
+    assert term in vocab.id_to_term
+    code, stdout, err = run(capsys, "predict", "--subject", term, "--predicate", "ex:p", out)
+    assert code == 0, err
+    assert stdout.count("\n") == 2  # both entities, one line each
 
 
 def test_archive_with_non_integer_vocabulary_id_is_an_error(capsys, tmp_path, bilingual_tsv, trained_archive):

@@ -18,44 +18,19 @@ from kgeu import (
     init_embeddings,
     intern,
     model_label,
-    rank,
-    rank_from_scores,
     render_report_table,
     score_batch,
     summarize_reports,
 )
 from kgeu.evaluator import QUERY_CHUNK
 from kgeu.models import EmbeddingTable
-from conftest import random_graph
+from conftest import oracle_score, random_graph, rank, reference_rank
 
 
 # ---------------------------------------------------------------------------
 # Independent brute-force oracle: nested loops, no index, scores recomputed
-# from the raw table with plain arithmetic.
+# from the raw table with plain arithmetic (conftest.oracle_score).
 # ---------------------------------------------------------------------------
-
-def oracle_score(table, s, p, o):
-    cfg = table.config
-    vs = table.node_vectors[s]
-    vp = table.node_vectors[p]
-    vo = table.node_vectors[o]
-    if cfg.model == "transe":
-        d = vs + vp - vo
-    elif cfg.model == "transh":
-        slot = list(table.property_ids).index(p)
-        w = table.relation_normals[slot]
-        d = (vs - float(np.dot(w, vs)) * w) + vp - (vo - float(np.dot(w, vo)) * w)
-    else:
-        k = cfg.dim
-        total = 0.0
-        for i in range(k):
-            sc = complex(vs[i], vs[k + i]) * complex(vp[i], vp[k + i]) * complex(vo[i], -vo[k + i])
-            total += sc.real
-        return total
-    if cfg.norm == "l1":
-        return -float(np.sum(np.abs(d)))
-    return -float(np.sqrt(np.sum(d * d)))
-
 
 def oracle_rank(table, all_triples, t, direction, candidates, filtered):
     true_id = t.s if direction == "head" else t.o
@@ -211,8 +186,8 @@ def test_perfect_single_triple_report():
 def test_rank_invariant_under_increasing_transforms(grid, true_pos, scale, shift):
     scores = np.array(grid) / 1000.0
     true_pos = true_pos % len(scores)
-    base = rank_from_scores(scores, true_pos)
-    assert rank_from_scores(scale * scores + shift, true_pos) == base
+    base = reference_rank(scores, true_pos)
+    assert reference_rank(scale * scores + shift, true_pos) == base
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +241,8 @@ def test_evaluate_ranks_equal_score_batch_ranks_under_ties(model):
                 known = {x.o for x in triples if (x.s, x.p) == (t.s, t.p)} - {t.o}
             true_pos = int(np.searchsorted(candidates, t.s if direction == "head" else t.o))
             ties += np.count_nonzero(scores == scores[true_pos]) - 1
-            raw.append(rank_from_scores(scores, true_pos))
-            filt.append(rank_from_scores(scores, true_pos, np.isin(candidates, list(known))))
+            raw.append(reference_rank(scores, true_pos))
+            filt.append(reference_rank(scores, true_pos, np.isin(candidates, list(known))))
             assert rank(table, t, direction, candidates, index, filtered=False) == raw[-1]
             assert rank(table, t, direction, candidates, index, filtered=True) == filt[-1]
     assert ties > len(raw) // 2  # a tie per two queries at least

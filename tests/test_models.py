@@ -8,17 +8,14 @@ from kgeu import (
     RawTriple,
     Triple,
     build_vocabulary,
-    gradient,
     init_embeddings,
     intern,
-    pair_loss_batch,
-    score,
     score_batch,
     score_candidates,
 )
 from kgeu.evaluator import QUERY_CHUNK
 from kgeu.models import BLOCK_BYTES, MODELS, NORMS, pair_grad_batch
-from conftest import node_grad, normal_grad, reference_pair_grad
+from conftest import gradient, node_grad, normal_grad, reference_pair_grad, reference_pair_loss, score
 
 
 def make_table(model="transe", dim=2, norm="l2", n_ids=4, n_props=1, **kw):
@@ -38,18 +35,18 @@ def fd_gradient(table, pos, neg, h=1e-5):
         for k in range(table.config.width):
             t2 = table.copy()
             t2.node_vectors[id_, k] += h
-            up = pair_loss_batch(t2, P, N)[0]
+            up = reference_pair_loss(t2, P, N)[0]
             t2.node_vectors[id_, k] -= 2 * h
-            down = pair_loss_batch(t2, P, N)[0]
+            down = reference_pair_loss(t2, P, N)[0]
             node_fd[j, k] = (up - down) / (2 * h)
     normal_fd = np.zeros_like(grad.normal_grads) if len(grad.normal_slots) else None
     for j, slot in enumerate(grad.normal_slots):
         for k in range(table.config.dim):
             t2 = table.copy()
             t2.relation_normals[slot, k] += h
-            up = pair_loss_batch(t2, P, N)[0]
+            up = reference_pair_loss(t2, P, N)[0]
             t2.relation_normals[slot, k] -= 2 * h
-            down = pair_loss_batch(t2, P, N)[0]
+            down = reference_pair_loss(t2, P, N)[0]
             normal_fd[j, k] = (up - down) / (2 * h)
     return grad, node_fd, normal_fd
 
@@ -426,10 +423,36 @@ def test_batch_gradient_equals_sum_of_pairs():
         neg = np.array([n for _, n in pairs])
         batch_grad, batch_losses = pair_grad_batch(table, pos, neg)
         for i, (p, n) in enumerate(pairs):
-            assert pair_loss_batch(table, pos[i : i + 1], neg[i : i + 1])[0] == pytest.approx(batch_losses[i])
+            assert reference_pair_loss(table, pos[i : i + 1], neg[i : i + 1])[0] == pytest.approx(batch_losses[i])
         for id_ in batch_grad.node_ids:
             summed = sum(node_grad(gradient(table, p, n), id_) for p, n in pairs)
             assert np.allclose(node_grad(batch_grad, id_), summed, atol=1e-12)
         for slot in batch_grad.normal_slots:
             summed = sum(normal_grad(gradient(table, p, n), slot) for p, n in pairs)
             assert np.allclose(normal_grad(batch_grad, slot), summed, atol=1e-12)
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("norm", NORMS)
+@pytest.mark.parametrize("complex_reg", [0.0, 1e-3])
+def test_pair_losses_equal_reference_pair_loss(model, norm, complex_reg):
+    # roles collide: s == o, property ids as subject or object, and the
+    # predicate's own row as subject or object
+    rng = np.random.default_rng(15)
+    table = random_scoring_table(rng, model, dim=6, norm=norm, n_ids=12, n_props=3)
+    table.config = ModelConfig(model=model, dim=6, norm=norm, complex_reg=complex_reg)
+    batch = 60
+    pos = np.stack([rng.integers(0, 12, batch), rng.choice(table.property_ids, batch),
+                    rng.integers(0, 12, batch)], axis=1)
+    pos[:10, 2] = pos[:10, 0]
+    pos[10:20, 0] = rng.choice(table.property_ids, 10)
+    pos[20:30, 2] = rng.choice(table.property_ids, 10)
+    pos[30:35, 0] = pos[30:35, 1]
+    pos[35:40, 2] = pos[35:40, 1]
+    neg = pos.copy()
+    col = np.where(rng.random(batch) < 0.5, 0, 2)
+    neg[np.arange(batch), col] = rng.integers(0, 12, batch)
+    _, losses = pair_grad_batch(table, pos, neg)
+    want = reference_pair_loss(table, pos, neg)
+    assert np.count_nonzero(want) > batch // 4
+    assert np.all(np.abs(losses - want) <= 1e-12 * np.abs(want))

@@ -14,12 +14,10 @@ from kgeu import (
     intern,
     load,
     save,
-    score,
     train,
 )
 from kgeu.store import MAGIC
-from kgeu.toy import mini_bilingual
-from conftest import edit_header
+from conftest import edit_header, mini_bilingual, score
 
 
 def trained(bilingual_raws, model="transe", dim=4, unify=True, epochs=15):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from kgeu import InvalidSpecError, RawTriple, ToySpec, build_vocabulary, generate_toy
-from kgeu.toy import TRANSLATION, mini_bilingual
+from kgeu.toy import TRANSLATION
+from conftest import mini_bilingual
 
 
 def terms_of(triples):
