@@ -86,7 +86,7 @@ def _load_raw(paths: list[Path], fmt: str, keep_literals: bool):
     dropped = 0
     parse = parse_ntriples if fmt == "nt" else parse_tsv
     for path in paths:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8", newline="\n") as f:  # lines end at \n only, as in parse_tsv
             try:
                 parsed = parse(f)
             except KgeError as e:
@@ -207,15 +207,14 @@ def cmd_eval(args) -> int:
     test_raws, _ = _load_raw([args.test], args.format, keep_literals=False)
     config = EvalConfig(candidate_policy=args.candidates, hits_k=args.hits_k)
 
+    train_raws = _load_raw([args.train], args.format, keep_literals=False)[0] if args.train else []
+
     rows = []
     reports = []
     for archive in args.archives:
         table, vocab, train_cfg = load(archive)
         test_triples = _interned_test(test_raws, vocab)
-        known = list(test_triples)
-        if args.train:
-            train_raws, _ = _load_raw([args.train], args.format, keep_literals=False)
-            known += intern(train_raws, vocab).triples
+        known = test_triples + intern(train_raws, vocab).triples
         index = TripleIndex(known)
         report = evaluate(table, test_triples, vocab, index, config)
         label = model_label(train_cfg.model.model, vocab.unify)

@@ -1,8 +1,12 @@
 """Link-prediction evaluation: raw/filtered MeanRank and Hits@k.
 
 For each test triple and direction, every candidate id is substituted
-into the missing position and scored; score_candidates scores a chunk of
-QUERY_CHUNK test triples at a time. The filtered setting removes
+into the missing position and scored. A CandidateScreen scores a chunk of
+QUERY_CHUNK test triples at a time with one matrix product, each score
+with a proven error bound. Candidates that the bound places above or
+below the true answer's bitwise score_batch score are counted from it;
+the rest are rescored with score_batch and compared exactly, so every
+rank is the one that bitwise scores give. The filtered setting removes
 candidates that form a known triple, except the true answer. Ties are
 broken pessimistically: a candidate scoring exactly the true answer's
 score counts against it, so a constant scorer earns the worst-case rank.
@@ -14,13 +18,13 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import EmptyDatasetError, InvalidConfigError, TrueAnswerNotCandidateError
-from .models import EmbeddingTable, score_candidates
+from .models import BLOCK_BYTES, CandidateScreen, EmbeddingTable, is_int, score_batch
 from .vocab import Triple, TripleIndex, Vocabulary
 
 CANDIDATE_POLICIES = ("entities-only", "entities-plus-shared-properties")
 TIE_BREAK = "pessimistic"
-# Test triples per score_candidates call: evaluate() holds at most
-# QUERY_CHUNK x C scores besides the C gathered candidate rows.
+# Test triples per screen call: evaluate() holds a few QUERY_CHUNK x C
+# arrays besides the C gathered candidate rows.
 QUERY_CHUNK = 64
 
 
@@ -33,8 +37,8 @@ class EvalConfig:
     def __post_init__(self):
         if self.candidate_policy not in CANDIDATE_POLICIES:
             raise InvalidConfigError(f"unknown candidate policy {self.candidate_policy!r}")
-        if self.hits_k < 1:
-            raise InvalidConfigError("hits_k must be at least 1")
+        if not (is_int(self.hits_k) and self.hits_k >= 1):
+            raise InvalidConfigError("hits_k must be an integer of at least 1")
         if not self.directions or any(d not in ("head", "tail") for d in self.directions):
             raise InvalidConfigError("directions must be a non-empty subset of head/tail")
 
@@ -57,7 +61,7 @@ def candidate_set(vocab: Vocabulary, policy: str = "entities-only") -> np.ndarra
 
 
 def _queries(triples: np.ndarray, direction: str) -> np.ndarray:
-    """score_candidates queries for (n, 3) triples: (p, o) for head, (s, p) for tail."""
+    """CandidateScreen queries for (n, 3) triples: (p, o) for head, (s, p) for tail."""
     return triples[:, 1:] if direction == "head" else triples[:, :2]
 
 
@@ -73,19 +77,38 @@ def _true_positions(triples: np.ndarray, direction: str, candidates: np.ndarray)
     return pos
 
 
-def _chunk_ranks(table: EmbeddingTable, triples: np.ndarray, direction: str, candidates: np.ndarray,
+def _chunk_ranks(screen: CandidateScreen, triples: np.ndarray, direction: str,
                  index: TripleIndex) -> tuple[np.ndarray, np.ndarray]:
     """Raw and filtered ranks of the true answers of (Q, 3) `triples`.
 
-    Both count, from one (Q, C) `scores >= true score` matrix, the other
+    Both count, from one (Q, C) `score >= true score` matrix, the other
     candidates that tie or beat the true answer; the filtered rank then
     drops those that complete a known triple, found with index.known().
+    The true scores come from score_batch. A candidate is decided by the
+    screen when approx - bound >= true score (counted) or approx + bound <
+    true score (not counted); every other one, and every candidate of a
+    query whose true score is not finite, is rescored with score_batch.
     """
+    table, candidates = screen.table, screen.candidates
     queries = _queries(triples, direction)
-    scores = score_candidates(table, queries, direction, candidates)
     true_pos = _true_positions(triples, direction, candidates)
+    true = score_batch(table, triples[:, 0], triples[:, 1], triples[:, 2])
+    approx, bound = screen(queries, direction)
+    t = np.where(np.isfinite(true), true, np.nan)[:, None]
+    edge = approx - bound
+    ge = edge >= t
+    np.add(approx, bound, out=edge)
+    unsure = ~(ge | (edge < t))
     q = np.arange(len(triples))
-    ge = scores >= scores[q, true_pos][:, None]
+    unsure[q, true_pos] = False
+    rq, rc = np.nonzero(unsure)
+    col = 0 if direction == "head" else 2
+    step = max(1, BLOCK_BYTES // (table.node_vectors.itemsize * table.config.width))
+    for b0 in range(0, len(rq), step):
+        iq, ic = rq[b0:b0 + step], rc[b0:b0 + step]
+        rescored = triples[iq]
+        rescored[:, col] = candidates[ic]
+        ge[iq, ic] = score_batch(table, rescored[:, 0], rescored[:, 1], rescored[:, 2]) >= true[iq]
     ge[q, true_pos] = False
     raw = 1 + np.count_nonzero(ge, axis=1)
     rows, ids = index.known(queries, direction)
@@ -175,11 +198,12 @@ def evaluate(
     if not test_triples:
         raise EmptyDatasetError("no test triples to evaluate")
     candidates = candidate_set(vocab, config.candidate_policy)
+    screen = CandidateScreen(table, candidates)
     by_dir: dict[str, tuple[list, list]] = {d: ([], []) for d in config.directions}
     for start in range(0, len(test_triples), QUERY_CHUNK):
         ids = np.array(test_triples[start:start + QUERY_CHUNK], dtype=np.int64)
         for direction in config.directions:
-            raw, filt = _chunk_ranks(table, ids, direction, candidates, index)
+            raw, filt = _chunk_ranks(screen, ids, direction, index)
             by_dir[direction][0].append(raw)
             by_dir[direction][1].append(filt)
 

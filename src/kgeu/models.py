@@ -11,8 +11,11 @@ Three scoring functions over one row-per-id table:
 Each model has two scoring paths, bitwise equal to each other: the
 triple scorer `_score_parts`, which also returns the score gradients and
 serves training, `score_batch` and `predict --direction relation`; and
-the cache-blocked `score_candidates`, which serves `eval` and predict
-head/tail.
+the cache-blocked `score_candidates`, which serves predict head/tail and
+L1 evaluation. `CandidateScreen` serves evaluation: one matrix product
+per chunk of queries gives every candidate's score up to a proven error
+bound, and the evaluator rescores with `score_batch` only the candidates
+that the bound cannot place above or below the true answer.
 
 A unified vocabulary id owns a single row, so a term's entity-role and
 relation-role vectors are the same storage and stay identical through
@@ -321,6 +324,136 @@ def score_candidates(
                 np.add.reduce(d, axis=1, out=o)
             np.negative(o, out=o)
     return out
+
+
+# The screen proves nothing about rows whose L2 norm exceeds this (or is not
+# finite): below it, every intermediate of both scoring paths stays finite.
+SCREEN_NORM_LIMIT = 2.0 ** 32
+# Absolute slack of the screen's bound, far above the largest error that
+# underflow can add to either scoring path while norms stay under the limit.
+SCREEN_FLOOR = 2.0 ** -300
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", x, x))
+
+
+class CandidateScreen:
+    """Approximate scores of every candidate, each with a proven error bound.
+
+    Built once per candidate set: it gathers the candidate rows E and their
+    norms ‖e‖. Calling it with a chunk of Q queries (as score_candidates
+    takes them) returns `(approx, bound)`, (Q, C) arrays such that the
+    bitwise score_candidates score lies in [approx - bound, approx + bound]
+    wherever bound is finite. Where a row's norm is not finite or exceeds
+    SCREEN_NORM_LIMIT, bound is inf or nan, so nothing is proven.
+
+    With a query vector a, the score is one matrix product against E:
+
+    * complex: linear in the candidate, approx = A·e; A holds each query's
+      factors built from its two fixed rows.
+    * transe-l2: distance² = ‖a‖² + ‖e‖² - 2a·e with a = v_s + v_p (tail)
+      or v_o - v_p (head).
+    * transh-l2: one product against [a; w] with a = P(v_fixed) ± v_p and
+      P(x) = x - (w·x)w; then a·P(e) = a·e - (w·a)(w·e) and
+      ‖P(e)‖² = ‖e‖² - 2(w·e)² + ‖w‖²(w·e)², which hold for any w.
+    * l1: no inner-product form; approx is score_candidates itself and
+      bound is 0.
+
+    The bound: an expression of rounding depth k, evaluated in floating
+    point, is within γ_k = k·u/(1 - k·u) (u = 2⁻⁵³) times the same
+    expression over absolute values of its exact value (Higham, Accuracy
+    and Stability of Numerical Algorithms, §3.1-3.5, any summation order,
+    BLAS included). Both the bitwise path and the product path have depth
+    below K = 4·width + 16, and their absolute-value expressions are at
+    most M² (distance models, before the square root) or M (complex) with
+
+    * transe:  M = ‖v_fixed‖ + ‖v_p‖ + ‖e‖
+    * transh:  M = (1 + ‖w‖²)((1 + ‖w‖²)‖v_fixed‖ + ‖v_p‖ + ‖e‖)
+    * complex: M = ‖h‖·‖e‖, h the query factors over absolute values.
+
+    Each path's distance is then within sqrt(γ_K)·M of the exact one
+    (|√x - √y| ≤ √|x - y|), so the two differ by at most 2·sqrt(γ_K)·M;
+    each path's complex score is within γ_K·M of the exact one, so the two
+    differ by at most 2γ_K·M. The bound takes 3 in place of 2, which covers
+    the rounding of the norms, of the bound itself and of approx ± bound;
+    SCREEN_FLOOR covers underflow.
+    """
+
+    def __init__(self, table: EmbeddingTable, candidates: np.ndarray):
+        self.table = table
+        self.candidates = np.asarray(candidates, dtype=np.int64)
+        cfg = table.config
+        self.exact = cfg.model != "complex" and cfg.norm == "l1"
+        if not self.exact:
+            self.rows = table.node_vectors[self.candidates]
+            self.sq = np.einsum("ij,ij->i", self.rows, self.rows)
+            norms = np.sqrt(self.sq)
+            self.norms = np.where(norms <= SCREEN_NORM_LIMIT, norms, np.inf)
+            k = 4 * cfg.width + 16
+            gamma = k * 2.0 ** -53 / (1.0 - k * 2.0 ** -53)
+            self.rel = 3.0 * (gamma if cfg.model == "complex" else math.sqrt(gamma))
+
+    def __call__(self, queries: np.ndarray, direction: str) -> tuple[np.ndarray, np.ndarray | float]:
+        if direction not in ("head", "tail"):
+            raise InvalidConfigError(f"unknown direction {direction!r}")
+        table = self.table
+        if self.exact:
+            return score_candidates(table, queries, direction, self.candidates), 0.0
+        cfg = table.config
+        nodes = table.node_vectors
+        queries = np.asarray(queries, dtype=np.int64).reshape(-1, 2)
+        tail = direction == "tail"
+        p = queries[:, 1] if tail else queries[:, 0]
+        fixed = nodes[queries[:, 0] if tail else queries[:, 1]]  # v_s for tail, v_o for head
+        vp = nodes[p]
+        n_fixed, n_p = _row_norms(fixed), _row_norms(vp)
+        ok = (n_fixed <= SCREEN_NORM_LIMIT) & (n_p <= SCREEN_NORM_LIMIT)
+
+        if cfg.model == "complex":
+            dim = cfg.dim
+            rr, ri = _complex_parts(vp, dim)
+            xr, xi = _complex_parts(fixed, dim)
+            if tail:   # score = (sr*rr - si*ri)·or + (sr*ri + si*rr)·oi
+                a = np.concatenate([xr * rr - xi * ri, xr * ri + xi * rr], axis=1)
+                h = np.concatenate([abs(xr * rr) + abs(xi * ri), abs(xr * ri) + abs(xi * rr)], axis=1)
+            else:      # score = sr·(rr*or + ri*oi) + si·(rr*oi - ri*or)
+                a = np.concatenate([rr * xr + ri * xi, rr * xi - ri * xr], axis=1)
+                h = np.concatenate([abs(rr * xr) + abs(ri * xi), abs(rr * xi) + abs(ri * xr)], axis=1)
+            approx = a @ self.rows.T
+            coef = np.where(ok, self.rel * _row_norms(h), np.inf)
+            bound = np.multiply.outer(coef, self.norms)
+            bound += SCREEN_FLOOR
+            return approx, bound
+
+        if cfg.model == "transe":
+            alpha, beta = n_fixed + n_p, np.ones(len(queries))
+        else:
+            w = table.relation_normals[table.normal_slot(p)]
+            w2 = np.einsum("ij,ij->i", w, w)
+            ok &= np.sqrt(w2) <= SCREEN_NORM_LIMIT
+            alpha, beta = (1.0 + w2) * ((1.0 + w2) * n_fixed + n_p), 1.0 + w2
+            fixed = fixed - np.einsum("ij,ij->i", w, fixed)[:, None] * w   # P(v_fixed)
+        a = fixed + vp if tail else fixed - vp
+        if cfg.model == "transe":
+            prod = (-2.0 * a) @ self.rows.T
+        else:
+            both = np.concatenate([-2.0 * a, w]) @ self.rows.T
+            prod, we = both[:len(a)], both[len(a):]
+            extra = (w2 - 2.0)[:, None] * we       # we·(2w·a + (‖w‖² - 2)we)
+            extra += 2.0 * np.einsum("ij,ij->i", w, a)[:, None]
+            extra *= we
+            prod += extra
+        prod += np.einsum("ij,ij->i", a, a)[:, None]
+        prod += self.sq
+        np.maximum(prod, 0.0, out=prod)
+        approx = np.sqrt(prod, out=prod)
+        np.negative(approx, out=approx)
+        alpha = np.where(ok, alpha, np.inf)
+        bound = np.multiply.outer(self.rel * beta, self.norms)
+        bound += (self.rel * alpha)[:, None]
+        bound += SCREEN_FLOOR
+        return approx, bound
 
 
 # ---------------------------------------------------------------------------

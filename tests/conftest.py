@@ -6,7 +6,7 @@ import pytest
 
 from kgeu import RawTriple, Triple, build_vocabulary, intern, pair_grad_batch, score_batch
 from kgeu.evaluator import _chunk_ranks
-from kgeu.models import _pair_reg_ids, _sigmoid
+from kgeu.models import CandidateScreen, _pair_reg_ids, _sigmoid
 
 
 def mini_bilingual(entity_links: bool = False) -> list[RawTriple]:
@@ -34,7 +34,7 @@ def gradient(table, positive, negative):
 
 def rank(table, t, direction, candidates, index, filtered: bool) -> int:
     """evaluate()'s rank of the true answer when `direction` is predicted for `t`."""
-    raw, filt = _chunk_ranks(table, np.array([t]), direction, candidates, index)
+    raw, filt = _chunk_ranks(CandidateScreen(table, candidates), np.array([t]), direction, index)
     return int(filt[0] if filtered else raw[0])
 
 

@@ -312,7 +312,7 @@ def test_predict_top_k_matches_score_batch_order(capsys, trained_archive, direct
     assert stdout == expected
 
 
-@pytest.mark.parametrize("char", ["\x85", "\u2028", "\u2029", "\v", "\f", "\x1c", "\x1d", "\x1e"])
+@pytest.mark.parametrize("char", ["\r", "\x85", "\u2028", "\u2029", "\v", "\f", "\x1c", "\x1d", "\x1e"])
 def test_term_with_a_line_break_other_than_lf_round_trips(capsys, tmp_path, char):
     # str.splitlines() breaks at these too; the vocabulary dump must not
     term = f"ex:a{char}b"
@@ -322,7 +322,8 @@ def test_term_with_a_line_break_other_than_lf_round_trips(capsys, tmp_path, char
     code, _, _ = run(capsys, "train", "--model", "transe", "--dim", "4", "--epochs", "1", "--out", out, data)
     assert code == 0
     _, vocab, _ = load(out)
-    assert vocab.id_to_term == build_vocabulary(parse_tsv(data.read_text(encoding="utf-8")), unify=True).id_to_term
+    text = data.read_bytes().decode("utf-8")  # read_text() would turn a lone \r into \n
+    assert vocab.id_to_term == build_vocabulary(parse_tsv(text), unify=True).id_to_term
     assert term in vocab.id_to_term
     code, stdout, err = run(capsys, "predict", "--subject", term, "--predicate", "ex:p", out)
     assert code == 0, err

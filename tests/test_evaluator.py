@@ -22,8 +22,8 @@ from kgeu import (
     score_batch,
     summarize_reports,
 )
-from kgeu.evaluator import QUERY_CHUNK
-from kgeu.models import EmbeddingTable
+from kgeu.evaluator import QUERY_CHUNK, _chunk_ranks
+from kgeu.models import CandidateScreen, EmbeddingTable
 from conftest import oracle_score, random_graph, rank, reference_rank
 
 
@@ -251,6 +251,83 @@ def test_evaluate_ranks_equal_score_batch_ranks_under_ties(model):
     assert report.mean_rank_filtered == float(np.mean(filt))
 
 
+def adversarial_model(model, norm, unify):
+    """A random graph whose table defeats any fixed error band: duplicated
+    and 1-ulp-apart candidate rows, all-zero rows, rows whose norm exceeds
+    the screen's limit or whose squared norm overflows, nan and inf rows,
+    and for transh hyperplane normals of norm other than 1."""
+    rng = np.random.default_rng(31)
+    raws = random_graph(rng, n_entities=26, n_relations=3, n_triples=QUERY_CHUNK + 20, property_nodes=True)
+    vocab = build_vocabulary(raws, unify=unify)
+    table = init_embeddings(ModelConfig(model=model, dim=3, norm=norm), vocab, rng)
+    nodes = table.node_vectors
+    nodes[:] = rng.normal(size=nodes.shape)
+    e = [vocab.entity_id(f"e{i}") for i in range(26)]
+    for dup, src in ((1, 0), (3, 2), (5, 4)):
+        nodes[e[dup]] = nodes[e[src]]
+    for near, src in ((6, 7), (8, 9), (10, 11), (12, 13)):
+        nodes[e[near]] = np.nextafter(nodes[e[src]], np.inf if near % 4 else -np.inf)
+    nodes[e[14], 0] = np.nextafter(nodes[e[15], 0], np.inf)
+    nodes[e[14], 1:] = nodes[e[15], 1:]
+    nodes[e[16]] = 0.0
+    nodes[e[17]] *= 1e150                 # norm beyond the screen's limit
+    nodes[e[18]] *= 1e160                 # squared norm overflows
+    nodes[e[19], 0] = np.nan
+    nodes[e[20], -1] = np.inf
+    nodes[e[21], 0] = -np.inf
+    if table.relation_normals is not None:
+        table.relation_normals *= rng.uniform(0.2, 3.0, size=(len(table.relation_normals), 1))
+    return vocab, table, intern(raws, vocab).triples
+
+
+@pytest.mark.parametrize("model", ["transe", "transh", "complex"])
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+@pytest.mark.parametrize("direction", ["head", "tail"])
+@pytest.mark.parametrize("policy", ["entities-only", "entities-plus-shared-properties"])
+@pytest.mark.parametrize("unify", [True, False])
+def test_screened_ranks_equal_score_batch_ranks_on_adversarial_tables(model, norm, direction, policy, unify):
+    vocab, table, triples = adversarial_model(model, norm, unify)
+    index = TripleIndex(triples)
+    candidates = candidate_set(vocab, policy)
+    screen = CandidateScreen(table, candidates)
+    c = len(candidates)
+    ties = 0
+    for n in (1, QUERY_CHUNK + 3):
+        chunk = triples[:n]
+        raw, filt = _chunk_ranks(screen, np.array(chunk), direction, index)
+        for i, t in enumerate(chunk):
+            if direction == "head":
+                scores = score_batch(table, candidates, np.full(c, t.p), np.full(c, t.o))
+                known = {x.s for x in triples if (x.p, x.o) == (t.p, t.o)} - {t.s}
+            else:
+                scores = score_batch(table, np.full(c, t.s), np.full(c, t.p), candidates)
+                known = {x.o for x in triples if (x.s, x.p) == (t.s, t.p)} - {t.o}
+            true_pos = int(np.searchsorted(candidates, t.s if direction == "head" else t.o))
+            ties += np.count_nonzero(np.isfinite(scores) & (scores == scores[true_pos])) - 1
+            assert raw[i] == reference_rank(scores, true_pos)
+            assert filt[i] == reference_rank(scores, true_pos, np.isin(candidates, list(known)))
+    assert ties > 0  # finite exact ties lie inside every band, so rescoring ran
+
+
+def test_screen_rescores_where_the_bitwise_path_overflows():
+    # Predicting the head, score_batch multiplies x by r first (inf - inf,
+    # so nan) while the product multiplies r by o first (finite): x is
+    # outside every proof and must be rescored, not counted.
+    raws = [RawTriple("s", "r", "o"), RawTriple("x", "r", "o")]
+    vocab = build_vocabulary(raws, unify=True)
+    table = init_embeddings(ModelConfig(model="complex", dim=1), vocab, np.random.default_rng(0))
+    s, o, x = (vocab.entity_id(t) for t in "sox")
+    r = vocab.property_id("r")
+    table.node_vectors[[s, r, o, x]] = [[1.0, 0.0], [1e300, 1e300], [1e-300, 1e-300], [2.0 ** 31, 2.0 ** 31]]
+    candidates = candidate_set(vocab)
+    c = len(candidates)
+    scores = score_batch(table, candidates, np.full(c, r), np.full(c, o))
+    true_pos = int(np.searchsorted(candidates, s))
+    raw, _ = _chunk_ranks(CandidateScreen(table, candidates), np.array([[s, r, o]] * 4), "head", TripleIndex())
+    assert np.isnan(scores[np.searchsorted(candidates, x)])
+    assert list(raw) == [reference_rank(scores, true_pos)] * 4
+
+
 def test_report_invariants_and_json(bilingual_vocab, bilingual_triples):
     rng = np.random.default_rng(21)
     cfg = ModelConfig(model="transe", dim=4)
@@ -299,8 +376,9 @@ def test_summarize_reports():
 
 
 def test_eval_config_invariants():
-    with pytest.raises(InvalidConfigError):
-        EvalConfig(hits_k=0)
+    for hits_k in (0, True, 2.5, "3"):
+        with pytest.raises(InvalidConfigError):
+            EvalConfig(hits_k=hits_k)
     with pytest.raises(InvalidConfigError):
         EvalConfig(candidate_policy="everything")
     with pytest.raises(InvalidConfigError):
