@@ -28,7 +28,7 @@ from .evaluator import (
     summarize_reports,
 )
 from .ingest import drop_literals, parse_ntriples, parse_tsv, write_tsv
-from .models import ModelConfig, score_batch, score_candidates
+from .models import DIRECTIONS, ModelConfig, score_candidates
 from .store import load, save
 from .toy import ToySpec, generate_toy
 from .trainer import TrainConfig, train
@@ -237,29 +237,18 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    table, vocab, train_cfg = load(args.archive)
-    if args.direction == "relation":  # exploratory ranking over the property ids
-        candidates = vocab.property_ids
-        s = np.full(len(candidates), vocab.entity_id(args.subject))
-        o = np.full(len(candidates), vocab.entity_id(args.object))
-        scores = score_batch(table, s, candidates, o)
-    else:
-        if args.direction == "tail":
-            pair = [vocab.entity_id(args.subject), vocab.property_id(args.predicate)]
-        else:
-            pair = [vocab.property_id(args.predicate), vocab.entity_id(args.object)]
-        candidates = candidate_set(vocab, args.candidates)
-        scores = score_candidates(table, [pair], args.direction, candidates)[0]
+    table, vocab, _ = load(args.archive)
+    slot = DIRECTIONS.index(args.direction)
+    terms = ((vocab.entity_id, args.subject), (vocab.property_id, args.predicate),
+             (vocab.entity_id, args.object))
+    query = [lookup(term) for k, (lookup, term) in enumerate(terms) if k != slot]
+    # 'relation' is exploratory ranking over the property ids
+    candidates = vocab.property_ids if slot == 1 else candidate_set(vocab, args.candidates)
+    scores = score_candidates(table, [query], args.direction, candidates)[0]
 
-    keep = np.ones(len(candidates), dtype=bool)
-    if args.known:
-        known_raws, _ = _load_raw(args.known, args.format, keep_literals=False)
-        index = TripleIndex(intern(known_raws, vocab).triples)
-        if args.direction == "relation":
-            keep &= ~index.contains(np.stack([s, candidates, o], axis=1))
-        else:
-            _, known = index.known([pair], args.direction)
-            keep &= ~np.isin(candidates, known)
+    known_raws, _ = _load_raw(args.known, args.format, keep_literals=False)  # none: an empty index
+    index = TripleIndex(intern(known_raws, vocab).triples)
+    keep = ~index.contains(np.insert(np.tile(query, (len(candidates), 1)), slot, candidates, axis=1))
 
     order = np.argsort(-scores[keep], kind="stable")
     kept_ids = candidates[keep][order][: args.k]
@@ -381,10 +370,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "predict":
-        needed = {"tail": ("subject", "predicate"), "head": ("predicate", "object"),
-                  "relation": ("subject", "object")}[args.direction]
-        for field in needed:
-            if getattr(args, field) is None:
+        for k, field in enumerate(("subject", "predicate", "object")):
+            if k != DIRECTIONS.index(args.direction) and getattr(args, field) is None:
                 parser.error(f"{args.direction} prediction requires --{field}")
     try:
         return args.func(args)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import EmptyDatasetError, InvalidConfigError, TrueAnswerNotCandidateError
-from .models import BLOCK_BYTES, CandidateScreen, EmbeddingTable, is_int, score_batch
+from .models import BLOCK_BYTES, DIRECTIONS, CandidateScreen, EmbeddingTable, is_int, score_batch
 from .vocab import Triple, TripleIndex, Vocabulary
 
 CANDIDATE_POLICIES = ("entities-only", "entities-plus-shared-properties")
@@ -60,13 +60,8 @@ def candidate_set(vocab: Vocabulary, policy: str = "entities-only") -> np.ndarra
     return np.union1d(vocab.entity_ids, shared)
 
 
-def _queries(triples: np.ndarray, direction: str) -> np.ndarray:
-    """CandidateScreen queries for (n, 3) triples: (p, o) for head, (s, p) for tail."""
-    return triples[:, 1:] if direction == "head" else triples[:, :2]
-
-
 def _true_positions(triples: np.ndarray, direction: str, candidates: np.ndarray) -> np.ndarray:
-    true_ids = triples[:, 0] if direction == "head" else triples[:, 2]
+    true_ids = triples[:, DIRECTIONS.index(direction)]
     pos = np.searchsorted(candidates, true_ids)
     bad = pos == len(candidates)
     bad[~bad] = candidates[pos[~bad]] != true_ids[~bad]
@@ -90,24 +85,25 @@ def _chunk_ranks(screen: CandidateScreen, triples: np.ndarray, direction: str,
     query whose true score is not finite, is rescored with score_batch.
     """
     table, candidates = screen.table, screen.candidates
-    queries = _queries(triples, direction)
+    slot = DIRECTIONS.index(direction)
+    queries = np.delete(triples, slot, axis=1)
     true_pos = _true_positions(triples, direction, candidates)
     true = score_batch(table, triples[:, 0], triples[:, 1], triples[:, 2])
     approx, bound = screen(queries, direction)
     t = np.where(np.isfinite(true), true, np.nan)[:, None]
-    edge = approx - bound
-    ge = edge >= t
-    np.add(approx, bound, out=edge)
-    unsure = ~(ge | (edge < t))
+    with np.errstate(over="ignore", invalid="ignore"):  # nan edges stay unsure
+        edge = approx - bound
+        ge = edge >= t
+        np.add(approx, bound, out=edge)
+        unsure = ~(ge | (edge < t))
     q = np.arange(len(triples))
     unsure[q, true_pos] = False
     rq, rc = np.nonzero(unsure)
-    col = 0 if direction == "head" else 2
     step = max(1, BLOCK_BYTES // (table.node_vectors.itemsize * table.config.width))
     for b0 in range(0, len(rq), step):
         iq, ic = rq[b0:b0 + step], rc[b0:b0 + step]
         rescored = triples[iq]
-        rescored[:, col] = candidates[ic]
+        rescored[:, slot] = candidates[ic]
         ge[iq, ic] = score_batch(table, rescored[:, 0], rescored[:, 1], rescored[:, 2]) >= true[iq]
     ge[q, true_pos] = False
     raw = 1 + np.count_nonzero(ge, axis=1)

@@ -8,14 +8,14 @@ Three scoring functions over one row-per-id table:
 * complex: score(s,p,o) = Re( sum_k s_k * r_k * conj(o_k) ), rows storing
            dim real parts followed by dim imaginary parts
 
-Each model has two scoring paths, bitwise equal to each other: the
-triple scorer `_score_parts`, which also returns the score gradients and
-serves training, `score_batch` and `predict --direction relation`; and
-the cache-blocked `score_candidates`, which serves predict head/tail and
-L1 evaluation. `CandidateScreen` serves evaluation: one matrix product
-per chunk of queries gives every candidate's score up to a proven error
-bound, and the evaluator rescores with `score_batch` only the candidates
-that the bound cannot place above or below the true answer.
+Each model's score is written once, in `_forward`, which also returns
+the gradient rows when training asks for them. `score_batch` runs it on id
+triples; `score_candidates` is a block loop running it on each query's
+fixed rows against cache-sized blocks of head, relation or tail
+candidates. The one approximate path is `CandidateScreen`, which serves
+evaluation: one matrix product per chunk of queries gives every
+candidate's score up to a proven error bound, and the evaluator rescores
+with `score_batch` only the candidates that the bound cannot place.
 
 A unified vocabulary id owns a single row, so a term's entity-role and
 relation-role vectors are the same storage and stay identical through
@@ -148,85 +148,118 @@ def renormalize_entities(table: EmbeddingTable, vocab: Vocabulary) -> None:
     table.node_vectors[ent] = _unit_rows(table.node_vectors[ent])
 
 
-def renormalize_normals(table: EmbeddingTable, slots: np.ndarray | None = None) -> None:
-    """transh constraint: hyperplane normals back to unit L2."""
-    if slots is None:
-        table.relation_normals[:] = _unit_rows(table.relation_normals)
-    else:
-        table.relation_normals[slots] = _unit_rows(table.relation_normals[slots])
+def renormalize_normals(table: EmbeddingTable, slots: np.ndarray) -> None:
+    """transh constraint: the hyperplane normals `slots` back to unit L2."""
+    table.relation_normals[slots] = _unit_rows(table.relation_normals[slots])
 
 
 # ---------------------------------------------------------------------------
 # Scoring
 # ---------------------------------------------------------------------------
 
-def _norm_and_unit(d: np.ndarray, norm: str) -> tuple[np.ndarray, np.ndarray]:
-    """Batch norm of difference rows and the gradient d||d||/dd, which
-    overwrites `d`."""
-    if norm == "l2":
-        n = np.linalg.norm(d, axis=-1)
-        return n, np.divide(d, np.where(n > 0.0, n, 1.0)[..., None], out=d)
-    n = np.abs(d).sum(axis=-1)
-    return n, np.sign(d, out=d)
+# The slot each direction predicts is its index in (s, p, o). A query holds
+# the other two ids in (s, p, o) order: (p, o) for head, (s, o) for
+# relation, (s, p) for tail.
+DIRECTIONS = ("head", "relation", "tail")
 
 
 def _complex_parts(rows: np.ndarray, dim: int):
     return rows[..., :dim], rows[..., dim:]
 
 
-def _score_parts(table: EmbeddingTable, ids: np.ndarray):
-    """Scores of a (n, 3) id array and their gradients.
+def _into(ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """ufunc(a, b), written over the temporary `a` unless `b` has more rows."""
+    return ufunc(a, b, out=a if len(a) >= len(b) else None)
 
-    Returns (scores, rows, blocks, signs, grad_w): dscore/d(role k) of
-    triple r is signs[k] * rows[blocks[k] * n + r] for the roles
-    (s, p, o); grad_w is transh's dscore/dw, else None.
+
+def _forward(cfg: ModelConfig, roles, w: np.ndarray | None = None, grad: bool = False):
+    """Scores of the triples whose (s, p, o) role rows are roles(0..2):
+    broadcastable (n or 1, width) arrays, each fetched once when first
+    needed, so rows gathered on demand are not all held at once. For
+    transh, w holds the unit normal of each triple's predicate.
+
+    Returns the scores. With grad, each roles(k) must be a fresh (n, width)
+    gather, which this may overwrite, and it returns
+    (scores, rows, blocks, signs, grad_w): dscore/d(role k) of triple r is
+    signs[k] * rows[blocks[k] * n + r] for the roles (s, p, o); grad_w is
+    transh's dscore/dw, else None.
 
     transe:  rows = unit(d), the gradient of ||d|| for d = v_s + v_p - v_o
     transh:  rows = [g_proj; g] with g = dscore/dd and g_proj its projection
     complex: rows = [dscore/ds; dscore/dr; dscore/do]
+
+    Operations run in place on temporaries where the shapes allow, so a
+    block of candidates costs about one block of new rows. Callers run it
+    under np.errstate and handle every non-finite result explicitly.
     """
-    cfg = table.config
-    nodes = table.node_vectors
+    if cfg.model == "complex":   # Re(s * r * conj(o)) = re . o_re + im . o_im
+        dim = cfg.dim
+        sr, si = _complex_parts(roles(0), dim)
+        rr, ri = _complex_parts(roles(1), dim)
+        orr, oi = _complex_parts(roles(2), dim)
+        re = sr * rr
+        re -= si * ri
+        im = sr * ri
+        im += si * rr
+        if grad:
+            grads = np.empty((3, len(re), 2 * dim))
+            grads[0, :, :dim] = rr * orr + ri * oi
+            grads[0, :, dim:] = -ri * orr + rr * oi
+            grads[1, :, :dim] = sr * orr + si * oi
+            grads[1, :, dim:] = -si * orr + sr * oi
+            grads[2, :, :dim] = re
+            grads[2, :, dim:] = im
+        x = _into(np.multiply, re, orr)
+        x += _into(np.multiply, im, oi)
+        sc = np.add.reduce(x, axis=-1)
+        if not grad:
+            return sc
+        return sc, grads.reshape(3 * len(sc), 2 * dim), (0, 1, 2), (1.0, 1.0, 1.0), None
     if cfg.model == "transe":
-        d = nodes[ids[:, 0]]
-        d += nodes[ids[:, 1]]
-        d -= nodes[ids[:, 2]]
-        n, unit = _norm_and_unit(d, cfg.norm)
-        return -n, unit, (0, 0, 0), (-1.0, -1.0, 1.0), None
-    vs, vp, vo = nodes[ids[:, 0]], nodes[ids[:, 1]], nodes[ids[:, 2]]
-    if cfg.model == "transh":
+        vs = roles(0)
+        d = _into(np.subtract, np.add(vs, roles(1), out=vs if grad else None), roles(2))
+    else:
+        u = roles(0) - roles(2)
+        t = w * u
+        wu = np.sum(t, axis=-1, keepdims=True)
+        d = np.subtract(u, np.multiply(wu, w, out=t), out=t)    # u - (w.u) w
+        d += roles(1)
+    scratch = None if grad else d                   # with grad, d becomes d||d||/dd
+    if cfg.norm == "l2":
+        n = np.sqrt(np.add.reduce(np.multiply(d, d, out=scratch), axis=-1))
+    else:
+        n = np.add.reduce(np.abs(d, out=scratch), axis=-1)
+    if not grad:
+        return -n
+    if cfg.norm == "l2":
+        np.divide(d, np.where(n > 0.0, n, 1.0)[:, None], out=d)
+    else:
+        np.sign(d, out=d)
+    if cfg.model == "transe":
+        return -n, d, (0, 0, 0), (-1.0, -1.0, 1.0), None
+    g = -d                                          # dscore/dd
+    gw = np.sum(g * w, axis=-1, keepdims=True)
+    g_proj = g - gw * w                             # dscore/dvs; dvo is its negation
+    grad_w = -(gw * u + wu * g)                     # dscore/dw
+    return -n, np.concatenate([g_proj, g]), (0, 1, 0), (1.0, 1.0, -1.0), grad_w
+
+
+def _triple_forward(table: EmbeddingTable, ids: np.ndarray, grad: bool = False):
+    """_forward over an (n, 3) id array, gathering each role's rows on demand."""
+    w = None
+    if table.config.model == "transh":
         w = table.relation_normals[table.normal_slot(ids[:, 1])]
-        u = vs - vo
-        wu = np.sum(w * u, axis=-1, keepdims=True)
-        d = u - wu * w + vp
-        n, unit = _norm_and_unit(d, cfg.norm)
-        g = -unit                                   # dscore/dd
-        gw = np.sum(g * w, axis=-1, keepdims=True)
-        g_proj = g - gw * w                         # dscore/dvs; dvo is its negation
-        grad_w = -(gw * u + wu * g)                 # dscore/dw
-        return -n, np.concatenate([g_proj, g]), (0, 1, 0), (1.0, 1.0, -1.0), grad_w
-    dim = cfg.dim
-    sr, si = _complex_parts(vs, dim)
-    rr, ri = _complex_parts(vp, dim)
-    orr, oi = _complex_parts(vo, dim)
-    sc = np.sum((sr * rr - si * ri) * orr + (sr * ri + si * rr) * oi, axis=-1)
-    grads = np.empty((3, len(ids), 2 * dim))
-    grads[0, :, :dim] = rr * orr + ri * oi
-    grads[0, :, dim:] = -ri * orr + rr * oi
-    grads[1, :, :dim] = sr * orr + si * oi
-    grads[1, :, dim:] = -si * orr + sr * oi
-    grads[2, :, :dim] = sr * rr - si * ri
-    grads[2, :, dim:] = sr * ri + si * rr
-    return sc, grads.reshape(3 * len(ids), 2 * dim), (0, 1, 2), (1.0, 1.0, 1.0), None
+    return _forward(table.config, lambda k: table.node_vectors[ids[:, k]], w, grad)
 
 
 def score_batch(table: EmbeddingTable, s: np.ndarray, p: np.ndarray, o: np.ndarray) -> np.ndarray:
     """Scores for aligned id arrays; higher means more plausible."""
-    return _score_parts(table, np.stack([s, p, o], axis=1))[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _triple_forward(table, np.stack([s, p, o], axis=1))
 
 
 # Bytes of one block of candidate rows in score_candidates: a block and its
-# scratch buffers stay in a core's L2 cache while every query reuses them.
+# scratch arrays stay in a core's L2 cache while every query reuses them.
 BLOCK_BYTES = 1 << 20
 
 
@@ -235,94 +268,34 @@ def score_candidates(
 ) -> np.ndarray:
     """(Q, C) scores of every candidate completing every query.
 
-    `queries` is (Q, 2): the known (s, p) of each query for direction
-    'tail', the known (p, o) for 'head'. Row q is bitwise equal to
-    score_batch over query q's C triples: each element goes through the
-    same elementwise operations in the same order, and each row through
-    the same reduction. Candidate rows and each query's fixed rows are
-    gathered once; candidates are then scored in blocks of BLOCK_BYTES
-    using preallocated buffers and in-place ufuncs.
+    `direction` names the slot the candidates fill and `queries` (Q, 2)
+    holds the other two ids (see DIRECTIONS). The candidate rows are
+    gathered once; then _forward scores each query's fixed rows against
+    one block of BLOCK_BYTES of them at a time, so row q is bitwise equal
+    to score_batch over query q's C triples.
     """
-    if direction not in ("head", "tail"):
+    if direction not in DIRECTIONS:
         raise InvalidConfigError(f"unknown direction {direction!r}")
     cfg = table.config
     nodes = table.node_vectors
+    slot = DIRECTIONS.index(direction)
     queries = np.asarray(queries, dtype=np.int64).reshape(-1, 2)
-    tail = direction == "tail"
-    p = queries[:, 1] if tail else queries[:, 0]
-    fixed = nodes[queries[:, 0] if tail else queries[:, 1]]  # v_s for tail, v_o for head
-    vp = nodes[p]
+    fixed = nodes[queries][:, :, None]                  # (Q, 2, 1, width)
     cand = nodes[np.asarray(candidates, dtype=np.int64)]
+    w = None
+    if cfg.model == "transh":
+        p = candidates if slot == 1 else queries[:, 1 if slot == 2 else 0]
+        w = table.relation_normals[table.normal_slot(p)]
     out = np.empty((len(queries), len(cand)))
     step = max(1, BLOCK_BYTES // (nodes.itemsize * cfg.width))
-    dim = cfg.dim
-
-    if cfg.model == "complex":
-        bufs = np.empty((3, step, dim))
-        rr, ri = _complex_parts(vp, dim)
-        if tail:  # s and r fixed: the factors of o's real and imaginary parts
-            sr, si = _complex_parts(fixed, dim)
-            re_f, im_f = sr * rr - si * ri, sr * ri + si * rr
-        else:
-            orr, oi = _complex_parts(fixed, dim)
-    else:
-        buf = np.empty((step, cfg.width))
-        if cfg.model == "transe" and tail:
-            head_sum = fixed + vp                               # (v_s + v_p)
-        if cfg.model == "transh":
-            w = table.relation_normals[table.normal_slot(p)]
-            tmp = np.empty_like(buf)
-            dots = np.empty(step)
-
-    for b0 in range(0, len(cand), step):
-        block = cand[b0:b0 + step]
-        n = len(block)
-        for q in range(len(queries)):
-            o = out[q, b0:b0 + n]
-            if cfg.model == "complex":
-                a, b, c = bufs[0, :n], bufs[1, :n], bufs[2, :n]
-                xr, xi = _complex_parts(block, dim)
-                if tail:   # (sr*rr - si*ri)*orr + (sr*ri + si*rr)*oi
-                    np.multiply(re_f[q], xr, out=a)
-                    np.multiply(im_f[q], xi, out=b)
-                else:
-                    np.multiply(xr, rr[q], out=a)
-                    np.multiply(xi, ri[q], out=b)
-                    np.subtract(a, b, out=a)
-                    np.multiply(a, orr[q], out=a)
-                    np.multiply(xr, ri[q], out=b)
-                    np.multiply(xi, rr[q], out=c)
-                    np.add(b, c, out=b)
-                    np.multiply(b, oi[q], out=b)
-                np.add(a, b, out=a)
-                np.add.reduce(a, axis=1, out=o)
-                continue
-            d = buf[:n]
-            if cfg.model == "transe":                           # (v_s + v_p) - v_o
-                if tail:
-                    np.subtract(head_sum[q], block, out=d)
-                else:
-                    np.add(block, vp[q], out=d)
-                    np.subtract(d, fixed[q], out=d)
-            else:                                               # u - (w.u) w + v_p, u = v_s - v_o
-                t, dot = tmp[:n], dots[:n]
-                if tail:
-                    np.subtract(fixed[q], block, out=d)
-                else:
-                    np.subtract(block, fixed[q], out=d)
-                np.multiply(w[q], d, out=t)
-                np.add.reduce(t, axis=1, out=dot)
-                np.multiply(dot[:, None], w[q], out=t)
-                np.subtract(d, t, out=d)
-                np.add(d, vp[q], out=d)
-            if cfg.norm == "l2":
-                np.multiply(d, d, out=d)
-                np.add.reduce(d, axis=1, out=o)
-                np.sqrt(o, out=o)
-            else:
-                np.abs(d, out=d)
-                np.add.reduce(d, axis=1, out=o)
-            np.negative(o, out=o)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b0 in range(0, len(cand), step):
+            block = cand[b0:b0 + step]
+            for q in range(len(queries)):
+                roles = [fixed[q, 0], fixed[q, 1]]
+                roles.insert(slot, block)
+                wq = None if w is None else w[b0:b0 + step] if slot == 1 else w[q:q + 1]
+                out[q, b0:b0 + len(block)] = _forward(cfg, roles.__getitem__, wq)
     return out
 
 
@@ -344,8 +317,8 @@ class CandidateScreen:
     Built once per candidate set: it gathers the candidate rows E and their
     norms ‖e‖. Calling it with a chunk of Q queries (as score_candidates
     takes them) returns `(approx, bound)`, (Q, C) arrays such that the
-    bitwise score_candidates score lies in [approx - bound, approx + bound]
-    wherever bound is finite. Where a row's norm is not finite or exceeds
+    exact _forward score lies in [approx - bound, approx + bound] wherever
+    bound is finite. Where a row's norm is not finite or exceeds
     SCREEN_NORM_LIMIT, bound is inf or nan, so nothing is proven.
 
     With a query vector a, the score is one matrix product against E:
@@ -394,6 +367,7 @@ class CandidateScreen:
             gamma = k * 2.0 ** -53 / (1.0 - k * 2.0 ** -53)
             self.rel = 3.0 * (gamma if cfg.model == "complex" else math.sqrt(gamma))
 
+    @np.errstate(over="ignore", invalid="ignore")  # a non-finite bound proves nothing
     def __call__(self, queries: np.ndarray, direction: str) -> tuple[np.ndarray, np.ndarray | float]:
         if direction not in ("head", "tail"):
             raise InvalidConfigError(f"unknown direction {direction!r}")
@@ -578,23 +552,24 @@ def pair_grad_batch(
     cfg = table.config
     b = len(pos)
     both = np.concatenate([pos, neg])
-    sc, rows, blocks, signs, grad_w = _score_parts(table, both)
-    sp, sn = sc[:b], sc[b:]
-    reg_ids = None
-    if cfg.model == "complex":
-        losses = _softplus(-sp) + _softplus(sn)
-        dscore = np.concatenate([-_sigmoid(-sp), _sigmoid(sn)])
-        if cfg.complex_reg > 0.0:
-            ids6, first = _pair_reg_ids(pos, neg)
-            sq = np.sum(table.node_vectors[ids6] ** 2, axis=-1)
-            losses = losses + cfg.complex_reg * np.sum(sq * first, axis=1)
-            reg_ids = ids6[first]
-    else:
-        viol = cfg.margin - sp + sn
-        losses = np.maximum(0.0, viol)
-        act = (viol > 0.0).astype(np.float64)
-        # dL/dscore(pos) = -1, dL/dscore(neg) = +1 where the hinge is active
-        dscore = np.concatenate([-act, act])
+    with np.errstate(over="ignore", invalid="ignore"):  # train() rejects a non-finite loss
+        sc, rows, blocks, signs, grad_w = _triple_forward(table, both, grad=True)
+        sp, sn = sc[:b], sc[b:]
+        reg_ids = None
+        if cfg.model == "complex":
+            losses = _softplus(-sp) + _softplus(sn)
+            dscore = np.concatenate([-_sigmoid(-sp), _sigmoid(sn)])
+            if cfg.complex_reg > 0.0:
+                ids6, first = _pair_reg_ids(pos, neg)
+                sq = np.sum(table.node_vectors[ids6] ** 2, axis=-1)
+                losses = losses + cfg.complex_reg * np.sum(sq * first, axis=1)
+                reg_ids = ids6[first]
+        else:
+            viol = cfg.margin - sp + sn
+            losses = np.maximum(0.0, viol)
+            act = (viol > 0.0).astype(np.float64)
+            # dL/dscore(pos) = -1, dL/dscore(neg) = +1 where the hinge is active
+            dscore = np.concatenate([-act, act])
     ids, src, coef = _role_terms(both, dscore, blocks, signs)
     if reg_ids is not None:
         ids = np.concatenate([ids, reg_ids])

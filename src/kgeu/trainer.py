@@ -182,6 +182,7 @@ class TrainResult:
         return "".join(s.log_line() + "\n" for s in self.log)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite losses and parameters raise below
 def train(
     train_triples: list[Triple],
     vocab: Vocabulary,
@@ -235,7 +236,7 @@ def train(
             pair_count += len(losses)
         if config.model.model == "transe":
             renormalize_entities(table, vocab)
-        if not table.all_finite():
+        if not (table.all_finite() and np.isfinite(loss_sum)):
             raise NonFiniteUpdateError(epoch=epoch)
         wall_ms = (time.perf_counter() - t0) * 1e3
         log.append(EpochStats(epoch, loss_sum / pair_count, wall_ms))

@@ -200,9 +200,9 @@ class TripleIndex:
         """Every known completion of every query pair.
 
         `pairs` is (Q, 2): (s, p) for direction 'tail', (p, o) for 'head',
-        as in score_candidates. Returns aligned arrays (rows, ids): query
-        row `rows[j]` is completed by id `ids[j]`; rows ascend, and ids
-        ascend within a row.
+        as the evaluator's queries. Returns aligned arrays (rows, ids):
+        query row `rows[j]` is completed by id `ids[j]`; rows ascend, and
+        ids ascend within a row.
         """
         if direction not in ("head", "tail"):
             raise InvalidConfigError(f"unknown direction {direction!r}")

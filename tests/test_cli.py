@@ -1,10 +1,11 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
-from kgeu import build_vocabulary, candidate_set, load, parse_tsv, score_batch, write_tsv, write_ntriples
+from kgeu import build_vocabulary, candidate_set, load, parse_tsv, save, score_batch, write_tsv, write_ntriples
 from kgeu.cli import build_parser, main, _train_config
 from conftest import edit_header, mini_bilingual
 
@@ -124,6 +125,19 @@ def test_train_rejects_non_finite_config(capsys, tmp_path, bilingual_tsv, flag, 
     assert code == 1
     assert err.startswith("kgeu: error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("model", ["transe", "transh", "complex"])
+def test_train_whose_loss_overflows_is_an_error(capsys, tmp_path, model):
+    run(capsys, "gen-toy", "--out", tmp_path / "toy")
+    out = tmp_path / "model.kgeu"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, err = run(capsys, "train", "--model", model, "--dim", "8", "--epochs", "4",
+                           "--lr", "1e300", "--log", "--out", out, tmp_path / "toy" / "train.tsv")
+    assert code == 1
+    assert err.startswith("kgeu: error:")
+    assert not list(tmp_path.glob("model.kgeu*"))
 
 
 def test_train_rejects_negative_seed(capsys, tmp_path, bilingual_tsv):
@@ -275,18 +289,44 @@ def test_ingest_invalid_utf8(capsys, tmp_path):
     assert "utf-8" in err or "decode" in err
 
 
-def test_predict_known_filter(capsys, tmp_path, bilingual_tsv, trained_archive):
-    _, unfiltered, _ = run(
-        capsys, "predict", "--subject", "ex:A", "--predicate", "ex:birthplace",
-        "-k", "50", trained_archive,
-    )
-    code, filtered, _ = run(
-        capsys, "predict", "--subject", "ex:A", "--predicate", "ex:birthplace",
-        "-k", "50", "--known", bilingual_tsv, trained_archive,
-    )
+PREDICT_QUERY = {
+    "tail": ("--subject", "ex:A", "--predicate", "ex:birthplace"),
+    "head": ("--predicate", "ex:birthplace", "--object", "ex:Spain"),
+    "relation": ("--subject", "ex:A", "--object", "ex:Spain"),
+}
+
+
+@pytest.mark.parametrize("direction", PREDICT_QUERY)
+def test_predict_known_filter(capsys, tmp_path, bilingual_tsv, trained_archive, direction):
+    answer = {"tail": "ex:Spain", "head": "ex:A", "relation": "ex:birthplace"}[direction]
+    query = ("--direction", direction, *PREDICT_QUERY[direction], "-k", "50")
+    _, unfiltered, _ = run(capsys, "predict", *query, trained_archive)
+    code, filtered, _ = run(capsys, "predict", *query, "--known", bilingual_tsv, trained_archive)
     assert code == 0
+    assert answer in unfiltered
     assert len(filtered.splitlines()) == len(unfiltered.splitlines()) - 1
-    assert "ex:Spain" not in filtered
+    assert answer not in filtered
+
+
+@pytest.mark.parametrize("model", ["transe", "transh", "complex"])
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+def test_eval_and_predict_on_overflowing_rows_warn_nothing(capsys, tmp_path, bilingual_tsv, model, norm):
+    archive = tmp_path / "model.kgeu"
+    run(capsys, "train", "--model", model, "--norm", norm, "--dim", "8", "--epochs", "20",
+        "--out", archive, bilingual_tsv)
+    table, vocab, cfg = load(archive)
+    ids = [vocab.entity_id("ex:A"), vocab.property_id("ex:birthplace"), vocab.entity_id("ex:Spain"),
+           vocab.entity_id("ex:B"), vocab.property_id("ex:shusshin")]
+    table.node_vectors[ids] *= 1e160  # squares overflow; the archive still saves and loads
+    save(table, vocab, cfg, archive)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, err = run(capsys, "eval", "--train", bilingual_tsv, archive, bilingual_tsv)
+        assert (code, err) == (0, "")
+        for direction, query in PREDICT_QUERY.items():
+            code, _, err = run(capsys, "predict", "--direction", direction, *query,
+                               "--known", bilingual_tsv, archive)
+            assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize("direction", ["head", "tail", "relation"])
@@ -297,17 +337,15 @@ def test_predict_top_k_matches_score_batch_order(capsys, trained_archive, direct
     s, o = np.full(c, vocab.entity_id("ex:A")), np.full(c, vocab.entity_id("ex:Spain"))
     p = np.full(c, vocab.property_id("ex:birthplace"))
     if direction == "tail":
-        query = ("--subject", "ex:A", "--predicate", "ex:birthplace")
         scores = score_batch(table, s, p, candidates)
     elif direction == "head":
-        query = ("--object", "ex:Spain", "--predicate", "ex:birthplace")
         scores = score_batch(table, candidates, p, o)
     else:
-        query = ("--subject", "ex:A", "--object", "ex:Spain")
         scores = score_batch(table, s, candidates, o)
     order = np.argsort(-scores, kind="stable")[:4]
     expected = "".join(f"{vocab.term(int(candidates[i]))}\t{scores[i]:.6f}\n" for i in order)
-    code, stdout, _ = run(capsys, "predict", "--direction", direction, *query, "-k", "4", trained_archive)
+    code, stdout, _ = run(capsys, "predict", "--direction", direction, *PREDICT_QUERY[direction], "-k", "4",
+                          trained_archive)
     assert code == 0
     assert stdout == expected
 

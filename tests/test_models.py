@@ -14,7 +14,7 @@ from kgeu import (
     score_candidates,
 )
 from kgeu.evaluator import QUERY_CHUNK
-from kgeu.models import BLOCK_BYTES, MODELS, NORMS, pair_grad_batch
+from kgeu.models import BLOCK_BYTES, DIRECTIONS, MODELS, NORMS, pair_grad_batch
 from conftest import gradient, node_grad, normal_grad, reference_pair_grad, reference_pair_loss, score
 
 
@@ -281,6 +281,8 @@ def random_scoring_table(rng, model, dim, norm, n_ids, n_props=5):
 
 def random_queries(rng, table, direction, n):
     ent = rng.integers(0, len(table.node_vectors), n)
+    if direction == "relation":
+        return np.stack([ent, rng.integers(0, len(table.node_vectors), n)], axis=1)
     p = rng.choice(table.property_ids, n)
     return np.stack([ent, p] if direction == "tail" else [p, ent], axis=1)
 
@@ -288,23 +290,24 @@ def random_queries(rng, table, direction, n):
 def assert_bitwise_score_batch(table, queries, direction, candidates):
     got = score_candidates(table, queries, direction, candidates)
     assert got.shape == (len(queries), len(candidates))
-    c = len(candidates)
-    for row, (a, b) in zip(got, queries):
-        if direction == "tail":
-            want = score_batch(table, np.full(c, a), np.full(c, b), candidates)
-        else:
-            want = score_batch(table, candidates, np.full(c, a), np.full(c, b))
+    slot = DIRECTIONS.index(direction)
+    for row, query in zip(got, queries):
+        triples = np.insert(np.tile(query, (len(candidates), 1)), slot, candidates, axis=1)
+        want = score_batch(table, *triples.T)
         assert np.array_equal(row.view(np.int64), want.view(np.int64))
     return got
 
 
 @pytest.mark.parametrize("model", MODELS)
 @pytest.mark.parametrize("norm", NORMS)
-@pytest.mark.parametrize("direction", ["head", "tail"])
+@pytest.mark.parametrize("direction", DIRECTIONS)
 def test_score_candidates_bitwise_equal_to_score_batch(model, norm, direction):
     rng = np.random.default_rng(12)
+    # every id is a property when candidates fill the predicate slot, so
+    # transh takes one normal per candidate
+    all_props = direction == "relation"
     # odd dim, fewer candidates than one block
-    table = random_scoring_table(rng, model, dim=7, norm=norm, n_ids=40)
+    table = random_scoring_table(rng, model, dim=7, norm=norm, n_ids=40, n_props=40 if all_props else 5)
     assert_bitwise_score_batch(table, random_queries(rng, table, direction, 3), direction,
                                rng.integers(0, 40, 25))
     # row width 200: three full blocks and a partial one, with duplicate
@@ -312,7 +315,7 @@ def test_score_candidates_bitwise_equal_to_score_batch(model, norm, direction):
     dim = 100 if model == "complex" else 200
     step = BLOCK_BYTES // (8 * 200)
     n_ids = 3 * step + step // 2
-    table = random_scoring_table(rng, model, dim, norm, n_ids)
+    table = random_scoring_table(rng, model, dim, norm, n_ids, n_ids if all_props else 5)
     candidates = np.concatenate([rng.permutation(n_ids), rng.integers(0, n_ids, 40)])
     for n_queries in (1, QUERY_CHUNK + 3):
         queries = random_queries(rng, table, direction, n_queries)
@@ -325,7 +328,7 @@ def test_score_candidates_bitwise_equal_to_score_batch(model, norm, direction):
 def test_score_candidates_rejects_unknown_direction():
     table = make_table()
     with pytest.raises(InvalidConfigError):
-        score_candidates(table, [[0, 3]], "relation", np.arange(3))
+        score_candidates(table, [[0, 3]], "sideways", np.arange(3))
 
 
 # ---------------------------------------------------------------------------
