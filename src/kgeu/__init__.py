@@ -32,7 +32,6 @@ from .vocab import (
     dump_vocabulary,
     intern,
     parse_vocabulary,
-    unknown_terms,
 )
 from .models import (
     EmbeddingTable,

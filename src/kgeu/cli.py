@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .errors import InvalidConfigError, KgeError
 from .evaluator import (
+    CANDIDATE_POLICIES,
     EvalConfig,
     candidate_set,
     evaluate,
@@ -28,18 +29,11 @@ from .evaluator import (
     summarize_reports,
 )
 from .ingest import drop_literals, parse_ntriples, parse_tsv, write_tsv
-from .models import DIRECTIONS, ModelConfig, score_candidates
+from .models import DIRECTIONS, MODELS, NORMS, SHARE_MODES, ModelConfig, score_candidates
 from .store import load, save
 from .toy import ToySpec, generate_toy
 from .trainer import TrainConfig, train
-from .vocab import (
-    TripleIndex,
-    build_vocabulary,
-    dataset_stats,
-    dump_vocabulary,
-    intern,
-    unknown_terms,
-)
+from .vocab import TripleIndex, build_vocabulary, dataset_stats, dump_vocabulary, intern
 
 DEFAULT_DIM = {"transe": 200, "transh": 200, "complex": 100}
 DEFAULT_LR = {"transe": 0.001, "transh": 0.001, "complex": 0.01}
@@ -196,13 +190,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _interned_test(raws, vocab):
-    missing = unknown_terms(raws, vocab)
-    if missing:
-        raise KgeError("test terms absent from the training vocabulary: " + ", ".join(missing))
-    return intern(raws, vocab).triples
-
-
 def cmd_eval(args) -> int:
     test_raws, _ = _load_raw([args.test], args.format, keep_literals=False)
     config = EvalConfig(candidate_policy=args.candidates, hits_k=args.hits_k)
@@ -213,7 +200,7 @@ def cmd_eval(args) -> int:
     reports = []
     for archive in args.archives:
         table, vocab, train_cfg = load(archive)
-        test_triples = _interned_test(test_raws, vocab)
+        test_triples = intern(test_raws, vocab).triples
         known = test_triples + intern(train_raws, vocab).triples
         index = TripleIndex(known)
         report = evaluate(table, test_triples, vocab, index, config)
@@ -304,11 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model and write a model archive")
     _add_format(p)
-    p.add_argument("--model", choices=("transe", "transh", "complex"), required=True)
+    p.add_argument("--model", choices=MODELS, required=True)
     p.add_argument("--unify", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--share", choices=("always", "init-only"), default="always")
+    p.add_argument("--share", choices=SHARE_MODES, default="always")
     p.add_argument("--dim", type=_positive_int, help="vector size (complex: complex components per row)")
-    p.add_argument("--norm", choices=("l1", "l2"), default="l2")
+    p.add_argument("--norm", choices=NORMS, default="l2")
     p.add_argument("--lr", type=float, help="learning rate (default per model)")
     p.add_argument("--epochs", type=_positive_int, default=1000)
     p.add_argument("--margin", type=float, default=1.0)
@@ -328,8 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="rank test triples against one or more archives")
     _add_format(p)
     p.add_argument("--hits-k", type=_positive_int, default=10)
-    p.add_argument("--candidates", choices=("entities-only", "entities-plus-shared-properties"),
-                   default="entities-only")
+    p.add_argument("--candidates", choices=CANDIDATE_POLICIES, default="entities-only")
     p.add_argument("--train", type=Path, help="training triples to include in the filter index")
     p.add_argument("--out-text", type=Path)
     p.add_argument("--out-json", type=Path)
@@ -339,14 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="top-k completions for a partial triple")
     _add_format(p)
-    p.add_argument("--direction", choices=("tail", "head", "relation"), default="tail",
+    p.add_argument("--direction", choices=DIRECTIONS, default="tail",
                    help="position to complete; 'relation' ranks property ids (exploratory)")
     p.add_argument("--subject", help="subject term (tail/relation prediction)")
     p.add_argument("--predicate", help="predicate term (tail/head prediction)")
     p.add_argument("--object", help="object term (head/relation prediction)")
     p.add_argument("-k", type=_positive_int, default=10)
-    p.add_argument("--candidates", choices=("entities-only", "entities-plus-shared-properties"),
-                   default="entities-only")
+    p.add_argument("--candidates", choices=CANDIDATE_POLICIES, default="entities-only")
     p.add_argument("--known", action="append", type=Path, default=[],
                    help="triple file whose known completions are filtered out (repeatable)")
     p.add_argument("archive", type=Path)

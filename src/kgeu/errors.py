@@ -40,13 +40,13 @@ class InvalidSpecError(KgeError):
 
 
 class NonFiniteUpdateError(KgeError):
-    """A parameter update produced NaN or Inf; training must abort."""
+    """A parameter update or the loss produced NaN or Inf; training must abort."""
 
-    def __init__(self, epoch: int | None = None, batch: int | None = None):
+    def __init__(self, epoch: int | None = None, batch: int | None = None, quantity: str = "parameter update"):
         ctx = ""
         if epoch is not None:
             ctx = f" at epoch {epoch}" + (f", batch {batch}" if batch is not None else "")
-        super().__init__(f"non-finite parameter update{ctx}")
+        super().__init__(f"non-finite {quantity}{ctx}")
         self.epoch = epoch
         self.batch = batch
 

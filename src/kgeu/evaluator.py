@@ -12,8 +12,7 @@ broken pessimistically: a candidate scoring exactly the true answer's
 score counts against it, so a constant scorer earns the worst-case rank.
 """
 
-import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -142,31 +141,12 @@ class EvalReport:
     tail: DirectionStats
 
     def to_dict(self) -> dict:
-        return {
-            "n_triples": self.n_triples,
-            "n_candidates": self.n_candidates,
-            "hits_k": self.hits_k,
-            "candidate_policy": self.candidate_policy,
-            "tie_break": TIE_BREAK,
-            "mean_rank_raw": self.mean_rank_raw,
-            "mean_rank_filtered": self.mean_rank_filtered,
-            "hits_raw": self.hits_raw,
-            "hits_filtered": self.hits_filtered,
-            "per_direction": {
-                name: vars(stats) for name, stats in (("head", self.head), ("tail", self.tail)) if stats
-            },
-        }
-
-    def to_json(self, label: str | None = None) -> str:
-        payload = self.to_dict()
-        if label is not None:
-            payload["model"] = label
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        d = asdict(self)
+        d["per_direction"] = {"head": d.pop("head"), "tail": d.pop("tail")}
+        return dict(d, tie_break=TIE_BREAK)
 
 
-def _stats(ranks_raw: np.ndarray, ranks_filt: np.ndarray, k: int) -> DirectionStats | None:
-    if not len(ranks_raw):
-        return None
+def _stats(ranks_raw: np.ndarray, ranks_filt: np.ndarray, k: int) -> DirectionStats:
     raw = ranks_raw.astype(np.float64)
     filt = ranks_filt.astype(np.float64)
     return DirectionStats(

@@ -34,6 +34,7 @@ from .vocab import Vocabulary
 
 MODELS = ("transe", "transh", "complex")
 NORMS = ("l1", "l2")
+SHARE_MODES = ("always", "init-only")
 
 
 def is_int(x) -> bool:
@@ -113,7 +114,7 @@ def init_embeddings(
     relation-role row (the rows then train independently); a unified
     vocabulary shares storage structurally and ignores the flag.
     """
-    if share not in ("always", "init-only"):
+    if share not in SHARE_MODES:
         raise InvalidConfigError(f"unknown share mode {share!r}")
     n = len(vocab)
     width = config.width
@@ -138,8 +139,10 @@ def init_embeddings(
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit L2; a row whose norm overflows comes out nan,
+    not zero, so the finiteness checks see it."""
     norms = np.linalg.norm(rows, axis=-1, keepdims=True)
-    return rows / np.maximum(norms, 1e-300)
+    return rows / np.where(np.isfinite(norms), np.maximum(norms, 1e-300), np.nan)
 
 
 def renormalize_entities(table: EmbeddingTable, vocab: Vocabulary) -> None:

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import EmptyDatasetError, InvalidConfigError, NonFiniteUpdateError
 from .models import (
+    SHARE_MODES,
     EmbeddingTable,
     ModelConfig,
     SparseGrad,
@@ -53,7 +54,7 @@ class TrainConfig:
             raise InvalidConfigError("seed must be a non-negative integer")
         if self.corruption != "uniform":
             raise InvalidConfigError(f"unknown corruption scheme {self.corruption!r}")
-        if self.share not in ("always", "init-only"):
+        if self.share not in SHARE_MODES:
             raise InvalidConfigError(f"unknown share mode {self.share!r}")
 
     def to_dict(self) -> dict:
@@ -183,25 +184,19 @@ class TrainResult:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite losses and parameters raise below
-def train(
-    train_triples: list[Triple],
-    vocab: Vocabulary,
-    config: TrainConfig,
-    index: TripleIndex | None = None,
-) -> TrainResult:
+def train(train_triples: list[Triple], vocab: Vocabulary, config: TrainConfig) -> TrainResult:
     """Run the full training loop and return the learned table.
 
     Per epoch: shuffle, corrupt each positive into `negatives` negatives,
     sum pair gradients per batch, apply Adam, then re-apply per-model
     constraints (transe entity renorm at epoch end; transh normals after
-    every step). The known-triple index for corruption rejection defaults
-    to the training set itself.
+    every step). Corruption rejection checks negatives against the
+    training triples.
     """
     if not train_triples:
         raise EmptyDatasetError("no training triples")
     triples = np.array(train_triples, dtype=np.int64)
-    if index is None:
-        index = TripleIndex(triples)
+    index = TripleIndex(triples)
 
     init_rng, shuffle_rng, sample_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(3)
@@ -236,8 +231,10 @@ def train(
             pair_count += len(losses)
         if config.model.model == "transe":
             renormalize_entities(table, vocab)
-        if not (table.all_finite() and np.isfinite(loss_sum)):
+        if not table.all_finite():
             raise NonFiniteUpdateError(epoch=epoch)
+        if not np.isfinite(loss_sum):
+            raise NonFiniteUpdateError(epoch=epoch, quantity="loss")
         wall_ms = (time.perf_counter() - t0) * 1e3
         log.append(EpochStats(epoch, loss_sum / pair_count, wall_ms))
 

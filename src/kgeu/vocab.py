@@ -8,6 +8,10 @@ The vocabulary assigns dense integer ids 0..N-1 in first-occurrence order
   downstream models share one embedding row between the two roles.
 * unify=False: entity-role and property-role occurrences of the same term
   get disjoint ids (the classical separate entity/relation vocabularies).
+
+Vocabulary._add is the one place that assigns ids: building calls it per
+occurrence, and loading a dump replays it per line. intern is the one
+place that looks terms up.
 """
 
 from dataclasses import dataclass
@@ -81,9 +85,6 @@ class Vocabulary:
         except KeyError:
             raise UnknownTermError(term) from None
 
-    def has_entity(self, term: str) -> bool:
-        return term in self._entity_id
-
     def has_property(self, term: str) -> bool:
         return term in self._property_id
 
@@ -131,34 +132,28 @@ class InternResult(NamedTuple):
 def intern(triples: Iterable[RawTriple], vocab: Vocabulary) -> InternResult:
     """Map raw triples to id triples, dropping exact duplicates.
 
-    Output preserves first-occurrence input order. Raises UnknownTermError
-    when a term is absent from the vocabulary (e.g. a test-set term that
-    never occurred in training).
+    Output preserves first-occurrence input order. Each term is looked up
+    in the role it is used in. Terms the vocabulary lacks in that role
+    (e.g. test-set terms that never occurred in training) are collected
+    over the whole input and raised, sorted, as one UnknownTermError.
     """
+    entity, prop = vocab._entity_id.get, vocab._property_id.get
     seen: set[Triple] = set()
     out: list[Triple] = []
+    missing: set[str] = set()
     duplicates = 0
     for t in triples:
-        it = Triple(vocab.entity_id(t.subject), vocab.property_id(t.predicate), vocab.entity_id(t.object))
-        if it in seen:
+        it = Triple(entity(t.subject), prop(t.predicate), entity(t.object))
+        if None in it:
+            missing.update(term for term, id_ in zip(t, it) if id_ is None)
+        elif it in seen:
             duplicates += 1
-            continue
-        seen.add(it)
-        out.append(it)
+        else:
+            seen.add(it)
+            out.append(it)
+    if missing:
+        raise UnknownTermError(missing)
     return InternResult(out, duplicates)
-
-
-def unknown_terms(triples: Iterable[RawTriple], vocab: Vocabulary) -> list[str]:
-    """All terms (with their roles) that `intern` would reject, sorted."""
-    missing = set()
-    for t in triples:
-        if not vocab.has_entity(t.subject):
-            missing.add(t.subject)
-        if not vocab.has_property(t.predicate):
-            missing.add(t.predicate)
-        if not vocab.has_entity(t.object):
-            missing.add(t.object)
-    return sorted(missing)
 
 
 # Largest id count whose index keys, n**3, fit in int64.
@@ -266,7 +261,13 @@ def dump_vocabulary(vocab: Vocabulary) -> str:
 
 
 def parse_vocabulary(text: str, unify: bool) -> Vocabulary:
-    """Rebuild a Vocabulary from its dump; inverse of dump_vocabulary."""
+    """Rebuild a Vocabulary from its dump; inverse of dump_vocabulary.
+
+    Load replays the rule that built the vocabulary: each line's roles are
+    added with Vocabulary._add, and the line is accepted only when every
+    role gets the line's own id. So a dump loads exactly when building
+    would assign the same ids.
+    """
     vocab = Vocabulary(unify)
     lines = text.split("\n")  # not splitlines(): a term may hold U+0085, \v, \f, ...
     for line_no, line in enumerate(lines[:-1] if lines[-1] == "" else lines, start=1):
@@ -278,22 +279,11 @@ def parse_vocabulary(text: str, unify: bool) -> Vocabulary:
             id_ = int(id_str)
         except ValueError:
             raise FormatError(f"vocabulary line {line_no}: id {id_str!r} is not an integer") from None
-        if id_ != len(vocab.id_to_term):
+        if id_ != len(vocab):
             raise FormatError(f"vocabulary line {line_no}: ids must be dense and ascending")
         if roles not in ("E", "P", "EP"):
             raise FormatError(f"vocabulary line {line_no}: bad role {roles!r}")
-        if roles == "EP" and not unify:
-            raise FormatError(f"vocabulary line {line_no}: shared id in a non-unified vocabulary")
-        if unify and (term in vocab._entity_id or term in vocab._property_id):
-            raise FormatError(f"vocabulary line {line_no}: term {term!r} has a second id in a unified vocabulary")
-        vocab.id_to_term.append(term)
-        if "E" in roles:
-            if term in vocab._entity_id:
-                raise FormatError(f"vocabulary line {line_no}: duplicate entity term {term!r}")
-            vocab._entity_id[term] = id_
-        if "P" in roles:
-            if term in vocab._property_id:
-                raise FormatError(f"vocabulary line {line_no}: duplicate property term {term!r}")
-            vocab._property_id[term] = id_
+        if any(vocab._add(term, role) != id_ for role in roles):
+            raise FormatError(f"vocabulary line {line_no}: term {term!r} has a second id")
     vocab._freeze()
     return vocab

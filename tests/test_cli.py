@@ -241,10 +241,11 @@ def test_eval_multiple_archives_emits_avg_best(capsys, tmp_path, bilingual_tsv):
 
 def test_eval_unknown_test_term(capsys, tmp_path, trained_archive):
     test = tmp_path / "test.tsv"
-    test.write_text("ex:A\tex:birthplace\tex:Mars\n", encoding="utf-8")
-    code, _, err = run(capsys, "eval", trained_archive, test)
+    test.write_text("ex:A\tex:birthplace\tex:Spain\nex:A\tex:nope\tex:Mars\n", encoding="utf-8")
+    code, out, err = run(capsys, "eval", trained_archive, test)
     assert code == 1
-    assert "ex:Mars" in err
+    assert out == ""
+    assert err == "kgeu: error: unknown term(s): ex:Mars, ex:nope\n"
 
 
 def test_predict_returns_all_when_k_exceeds_candidates(capsys, trained_archive):

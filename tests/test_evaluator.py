@@ -336,10 +336,11 @@ def test_report_invariants_and_json(bilingual_vocab, bilingual_triples):
     report = evaluate(table, bilingual_triples, bilingual_vocab, index, EvalConfig())
     assert report.mean_rank_filtered <= report.mean_rank_raw
     assert report.hits_filtered >= report.hits_raw
-    payload = json.loads(report.to_json("TransE"))
-    assert payload["model"] == "TransE"
+    payload = report.to_dict()
     assert payload["tie_break"] == "pessimistic"
-    assert report.to_json("TransE") == report.to_json("TransE")  # byte-stable
+    assert payload["per_direction"]["head"] == vars(report.head)
+    assert "head" not in payload and "tail" not in payload
+    assert json.loads(json.dumps(payload)) == payload  # plain JSON values
 
 
 def test_render_table_one_decimal():

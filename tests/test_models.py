@@ -14,7 +14,7 @@ from kgeu import (
     score_candidates,
 )
 from kgeu.evaluator import QUERY_CHUNK
-from kgeu.models import BLOCK_BYTES, DIRECTIONS, MODELS, NORMS, pair_grad_batch
+from kgeu.models import BLOCK_BYTES, DIRECTIONS, MODELS, NORMS, pair_grad_batch, renormalize_entities
 from conftest import gradient, node_grad, normal_grad, reference_pair_grad, reference_pair_loss, score
 
 
@@ -125,6 +125,20 @@ def test_init_only_share_copies_rows(bilingual_raws):
     assert vocab.shared_terms()
     for _, eid, pid in vocab.shared_terms():
         assert np.array_equal(table.node_vectors[eid], table.node_vectors[pid])
+
+
+def test_renormalize_overflowing_row_is_not_finite(bilingual_vocab):
+    # the row's L2 norm overflows to inf; it must not come out as a finite zero row
+    table = init_embeddings(ModelConfig(model="transe", dim=3), bilingual_vocab, np.random.default_rng(6))
+    eid = int(bilingual_vocab.entity_ids[0])
+    table.node_vectors[eid] = [1e154, 1e154, 1e154]
+    kept = table.node_vectors[bilingual_vocab.entity_ids[1:]].copy()
+    with np.errstate(over="ignore"):
+        renormalize_entities(table, bilingual_vocab)
+    assert not table.all_finite()
+    assert np.all(np.isnan(table.node_vectors[eid]))
+    expected = kept / np.linalg.norm(kept, axis=1, keepdims=True)  # finite norms: the same bits as before
+    assert np.array_equal(table.node_vectors[bilingual_vocab.entity_ids[1:]], expected)
 
 
 def test_invalid_config():

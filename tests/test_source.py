@@ -1,9 +1,13 @@
 """Checks on the package source itself."""
 
+import argparse
 import ast
 from pathlib import Path
 
 import kgeu
+from kgeu.cli import build_parser
+from kgeu.evaluator import CANDIDATE_POLICIES
+from kgeu.models import DIRECTIONS, MODELS, NORMS, SHARE_MODES
 
 SOURCES = sorted(Path(kgeu.__file__).parent.glob("*.py"))
 
@@ -18,3 +22,17 @@ def test_no_assert_statements_in_src():
     ]
     assert len(SOURCES) >= 10
     assert not found, f"assert statements in src/kgeu: {found}"
+
+
+def test_parser_choices_are_the_library_tuples():
+    # one source per enumeration: the CLI offers exactly what the library accepts
+    expected = {"model": MODELS, "norm": NORMS, "share": SHARE_MODES,
+                "candidates": CANDIDATE_POLICIES, "direction": DIRECTIONS}
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    seen = set()
+    for name, sub in commands.choices.items():
+        for action in sub._actions:
+            if action.dest in expected:
+                assert tuple(action.choices) == expected[action.dest], f"{name} --{action.dest}"
+                seen.add(action.dest)
+    assert seen == set(expected)

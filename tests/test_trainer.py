@@ -20,6 +20,7 @@ from kgeu import (
     train,
 )
 from kgeu.models import SparseGrad
+from kgeu.toy import ToySpec, generate_toy
 from kgeu.trainer import MAX_REJECTION_ATTEMPTS
 
 
@@ -244,6 +245,15 @@ def test_config_dict_round_trip():
         TrainConfig.from_dict(dict(d, extra=1))
     with pytest.raises(InvalidConfigError):
         TrainConfig.from_dict(dict(d, dim="4"))
+
+
+def test_non_finite_loss_is_named_as_the_loss():
+    # a huge margin keeps every update finite but overflows the epoch's loss sum
+    train_raws, _ = generate_toy(ToySpec())
+    vocab = build_vocabulary(train_raws, unify=True)
+    config = small_config(model=ModelConfig(model="transe", dim=8, margin=1e308), epochs=3)
+    with pytest.raises(NonFiniteUpdateError, match="^non-finite loss at epoch 1$"):
+        train(intern(train_raws, vocab).triples, vocab, config)
 
 
 def test_train_empty_dataset(bilingual_vocab):

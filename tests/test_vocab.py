@@ -15,7 +15,6 @@ from kgeu import (
     dump_vocabulary,
     intern,
     parse_vocabulary,
-    unknown_terms,
 )
 from kgeu.vocab import MAX_INDEX_IDS
 from conftest import random_graph
@@ -115,7 +114,10 @@ def test_intern_self_consistency(bilingual_raws, bilingual_vocab):
 def test_intern_unknown_term(bilingual_vocab):
     with pytest.raises(UnknownTermError):
         intern([RawTriple("ex:A", "ex:birthplace", "ex:Mars")], bilingual_vocab)
-    assert unknown_terms([RawTriple("ex:A", "ex:nope", "ex:Mars")], bilingual_vocab) == ["ex:Mars", "ex:nope"]
+    with pytest.raises(UnknownTermError) as exc:
+        intern([RawTriple("ex:A", "ex:nope", "ex:Mars"), RawTriple("ex:Mars", "ex:birthplace", "ex:A")],
+               bilingual_vocab)
+    assert exc.value.terms == ["ex:Mars", "ex:nope"]
 
 
 def test_intern_deduplicates(bilingual_raws, bilingual_vocab):
@@ -252,3 +254,45 @@ def test_parse_vocabulary_unified_term_with_two_ids_is_format_error():
         parse_vocabulary("0\tx\tEP\n1\tx\tE\n", unify=True)
     vocab = parse_vocabulary("0\tx\tE\n1\tx\tP\n", unify=False)  # two roles, two ids: fine apart
     assert vocab.entity_id("x") == 0 and vocab.property_id("x") == 1
+
+
+def _edit_dump(lines: list[str], edit: tuple) -> None:
+    """Apply one edit to the dump lines in place: swap two lines, insert a
+    copy of one, or set one line's roles."""
+    kind, i, j, roles = edit
+    i %= len(lines)
+    if kind == "swap":
+        j %= len(lines)
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "dup":
+        lines.insert(j % (len(lines) + 1), lines[i])
+    else:
+        id_, term, _ = lines[i].split("\t")
+        lines[i] = f"{id_}\t{term}\t{roles}\n"
+
+
+dump_edits = st.lists(
+    st.tuples(st.sampled_from(["swap", "dup", "roles"]), st.integers(0, 99), st.integers(0, 99),
+              st.sampled_from(["E", "P", "EP", "PE", ""])),
+    max_size=4,
+)
+
+
+@given(raw_triples_lists, st.booleans(), dump_edits, st.booleans())
+@settings(max_examples=150)
+def test_parse_vocabulary_loads_exactly_what_it_dumps(raws, unify, edits, renumber):
+    # a dump, edited or not, either is rejected or loads to a vocabulary
+    # whose dump is the same text; renumbering keeps ids dense so that the
+    # edit, not the id column, decides
+    lines = dump_vocabulary(build_vocabulary(raws, unify=unify)).splitlines(keepends=True)
+    for edit in edits:
+        _edit_dump(lines, edit)
+    if renumber:
+        rest = [line.split("\t", 1)[1] for line in lines]
+        lines = [f"{k}\t{r}" for k, r in enumerate(rest)]
+    text = "".join(lines)
+    try:
+        vocab = parse_vocabulary(text, unify=unify)
+    except FormatError:
+        return
+    assert dump_vocabulary(vocab) == text
