@@ -198,11 +198,14 @@ def cmd_eval(args) -> int:
 
     rows = []
     reports = []
+    interned = None  # (vocabulary dump, test triples, index) of the previous archive
     for archive in args.archives:
         table, vocab, train_cfg = load(archive)
-        test_triples = intern(test_raws, vocab).triples
-        known = test_triples + intern(train_raws, vocab).triples
-        index = TripleIndex(known)
+        dump = dump_vocabulary(vocab)
+        if interned is None or interned[0] != dump:  # equal dumps intern every term alike
+            test_triples = intern(test_raws, vocab).triples
+            interned = dump, test_triples, TripleIndex(test_triples + intern(train_raws, vocab).triples)
+        _, test_triples, index = interned
         report = evaluate(table, test_triples, vocab, index, config)
         label = model_label(train_cfg.model.model, vocab.unify)
         reports.append(report)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import EmptyDatasetError, InvalidConfigError, TrueAnswerNotCandidateError
 from .models import BLOCK_BYTES, DIRECTIONS, CandidateScreen, EmbeddingTable, is_int, score_batch
-from .vocab import Triple, TripleIndex, Vocabulary
+from .vocab import Triple, TripleIndex, Vocabulary, id_array
 
 CANDIDATE_POLICIES = ("entities-only", "entities-plus-shared-properties")
 TIE_BREAK = "pessimistic"
@@ -177,7 +177,7 @@ def evaluate(
     screen = CandidateScreen(table, candidates)
     by_dir: dict[str, tuple[list, list]] = {d: ([], []) for d in config.directions}
     for start in range(0, len(test_triples), QUERY_CHUNK):
-        ids = np.array(test_triples[start:start + QUERY_CHUNK], dtype=np.int64)
+        ids = id_array(test_triples[start:start + QUERY_CHUNK])
         for direction in config.directions:
             raw, filt = _chunk_ranks(screen, ids, direction, index)
             by_dir[direction][0].append(raw)

@@ -7,6 +7,7 @@ datasets with non-IRI identifiers (FB15K-style `/m/...` tokens) loadable.
 """
 
 import re
+from functools import partial
 from typing import Iterable, NamedTuple, TextIO
 
 from .errors import MalformedLineError
@@ -19,6 +20,9 @@ class RawTriple(NamedTuple):
     is_literal: bool = False
 
 
+# RawTriple._make without its per-call Python frame: tuple.__new__ on a 4-tuple
+_raw_triple = partial(tuple.__new__, RawTriple)
+
 # Grammar subset: `<IRI> <IRI> <IRI> .` or `<IRI> <IRI> "literal" .`
 # IRIs may not contain whitespace or angle brackets; literals may not
 # contain raw quotes or tabs (tab-free terms keep the vocabulary dump and
@@ -29,15 +33,12 @@ _NT_LINE = re.compile(
 )
 
 
-def _lines(source: str | TextIO) -> Iterable[str]:
-    # Split on \n only, so string and file inputs see identical lines.
-    if isinstance(source, str):
-        raw = source.split("\n")
-        if raw and raw[-1] == "":
-            raw.pop()
-    else:
-        raw = source
-    return (line.rstrip("\n").rstrip("\r") for line in raw)
+def _lines(source: str | TextIO) -> list[str]:
+    # Read once and split on \n only, so string and file inputs see identical lines.
+    lines = (source if isinstance(source, str) else source.read()).split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 def parse_ntriples(source: str | TextIO) -> list[RawTriple]:
@@ -49,7 +50,7 @@ def parse_ntriples(source: str | TextIO) -> list[RawTriple]:
     """
     triples = []
     for line_no, line in enumerate(_lines(source), start=1):
-        stripped = line.strip()
+        stripped = line.strip()  # also drops the CR of a CRLF line end
         if not stripped or stripped.startswith("#"):
             continue
         m = _NT_LINE.fullmatch(stripped)
@@ -66,17 +67,29 @@ def parse_ntriples(source: str | TextIO) -> list[RawTriple]:
 
 
 def parse_tsv(source: str | TextIO) -> list[RawTriple]:
-    """Parse `subject<TAB>predicate<TAB>object` lines; blank lines allowed."""
+    """Parse `subject<TAB>predicate<TAB>object` lines; blank lines allowed.
+
+    A line of three non-empty fields that neither ends in CR nor is all
+    whitespace is taken as split; every other line goes through the checks
+    below, which strip trailing CRs, skip blank lines and name the fault.
+    """
     triples = []
+    append = triples.append
+    term = {}.setdefault  # one str object per distinct term: less memory, and GC walks stay in cache
     for line_no, line in enumerate(_lines(source), start=1):
-        if not line.strip():
-            continue
         fields = line.split("\t")
-        if len(fields) != 3:
-            raise MalformedLineError(line_no, f"expected 3 tab-separated fields, got {len(fields)}")
-        if any(f == "" for f in fields):
-            raise MalformedLineError(line_no, "empty field")
-        triples.append(RawTriple(fields[0], fields[1], fields[2]))
+        # len 3 first: it makes the line non-empty for line[-1]
+        if len(fields) != 3 or "" in fields or line[-1] == "\r" or line.isspace():
+            line = line.rstrip("\r")
+            if not line.strip():
+                continue
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise MalformedLineError(line_no, f"expected 3 tab-separated fields, got {len(fields)}")
+            if "" in fields:
+                raise MalformedLineError(line_no, "empty field")
+        s, p, o = fields
+        append(_raw_triple((term(s, s), term(p, p), term(o, o), False)))
     return triples
 
 

@@ -24,7 +24,7 @@ from .models import (
     renormalize_entities,
     renormalize_normals,
 )
-from .vocab import Triple, TripleIndex, Vocabulary
+from .vocab import Triple, TripleIndex, Vocabulary, id_array
 
 MAX_REJECTION_ATTEMPTS = 100
 FULL_BATCH_LIMIT = 10_000  # datasets smaller than this default to one batch per epoch
@@ -195,7 +195,7 @@ def train(train_triples: list[Triple], vocab: Vocabulary, config: TrainConfig) -
     """
     if not train_triples:
         raise EmptyDatasetError("no training triples")
-    triples = np.array(train_triples, dtype=np.int64)
+    triples = id_array(train_triples)
     index = TripleIndex(triples)
 
     init_rng, shuffle_rng, sample_rng = (

@@ -15,6 +15,8 @@ place that looks terms up.
 """
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -27,6 +29,25 @@ class Triple(NamedTuple):
     s: int
     p: int
     o: int
+
+
+# Triple._make without its per-call Python frame: tuple.__new__ on a 3-tuple
+_triple = partial(tuple.__new__, Triple)
+
+
+def id_array(triples: Iterable[Sequence[int]] | np.ndarray) -> np.ndarray:
+    """(n, 3) int64 ids of a triple sequence; an ndarray is used as is.
+
+    Rows are flattened into one np.fromiter pass; a row that is not three
+    ints raises ValueError (or numpy's TypeError/OverflowError for an entry).
+    """
+    if isinstance(triples, np.ndarray):
+        return triples.astype(np.int64, copy=False).reshape(-1, 3)
+    rows = triples if isinstance(triples, (list, tuple)) else list(triples)
+    # no row longer than 3, and count= makes fromiter reject a shorter one
+    if rows and max(map(len, rows)) != 3:
+        raise ValueError("every triple must have exactly three ids")
+    return np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=3 * len(rows)).reshape(-1, 3)
 
 
 class Vocabulary:
@@ -138,26 +159,36 @@ def intern(triples: Iterable[RawTriple], vocab: Vocabulary) -> InternResult:
     over the whole input and raised, sorted, as one UnknownTermError.
     """
     entity, prop = vocab._entity_id.get, vocab._property_id.get
-    seen: set[Triple] = set()
-    out: list[Triple] = []
+    seen: set[tuple[int, int, int]] = set()
+    out: list[tuple[int, int, int]] = []
     missing: set[str] = set()
     duplicates = 0
     for t in triples:
-        it = Triple(entity(t.subject), prop(t.predicate), entity(t.object))
-        if None in it:
-            missing.update(term for term, id_ in zip(t, it) if id_ is None)
-        elif it in seen:
+        ids = (entity(t[0]), prop(t[1]), entity(t[2]))
+        if None in ids:
+            missing.update(term for term, id_ in zip(t, ids) if id_ is None)
+        elif ids in seen:
             duplicates += 1
         else:
-            seen.add(it)
-            out.append(it)
+            seen.add(ids)
+            out.append(ids)
     if missing:
         raise UnknownTermError(missing)
-    return InternResult(out, duplicates)
+    return InternResult(list(map(_triple, out)), duplicates)
 
 
 # Largest id count whose index keys, n**3, fit in int64.
 MAX_INDEX_IDS = 2_097_151
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """np.unique of a fresh int64 array, sorting it in place: one sort and a
+    neighbour mask (numpy's hash-based unique is far slower on int64)."""
+    keys.sort()
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
 
 
 class TripleIndex:
@@ -171,14 +202,14 @@ class TripleIndex:
     """
 
     def __init__(self, triples=()):
-        t = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+        t = id_array(triples)
         n = int(t.max()) + 1 if len(t) else 0
         if n > MAX_INDEX_IDS or (len(t) and int(t.min()) < 0):
             raise IndexOverflowError(f"triple ids must lie in [0, {MAX_INDEX_IDS}) to fit int64 keys")
         self._n = n
         s, p, o = t.T
-        self._spo = np.unique((s * n + p) * n + o)
-        self._pos = np.unique((p * n + o) * n + s)
+        self._spo = _sorted_unique((s * n + p) * n + o)
+        self._pos = _sorted_unique((p * n + o) * n + s)
 
     def contains(self, triples: np.ndarray) -> np.ndarray:
         """bool[k]: whether each row of `triples[k, 3]` is a known triple."""
@@ -239,16 +270,15 @@ class DatasetStats:
 def dataset_stats(vocab: Vocabulary, triples: Sequence[Triple]) -> DatasetStats:
     """Counts for reporting: sizes of E1/E2, their overlap, and how many
     triples have a property in subject or object position."""
-    prop_node = 0
-    for t in triples:
-        if vocab.has_property(vocab.term(t.s)) or vocab.has_property(vocab.term(t.o)):
-            prop_node += 1
+    # per id: whether its term is a property (in either vocabulary regime)
+    is_property = np.fromiter(map(vocab.has_property, vocab.id_to_term), dtype=bool, count=len(vocab))
+    t = id_array(triples)
     return DatasetStats(
-        n_triples=len(triples),
+        n_triples=len(t),
         n_entities=len(vocab.entity_ids),
         n_properties=len(vocab.property_ids),
         n_shared=len(vocab.shared_terms()),
-        property_node_triples=prop_node,
+        property_node_triples=int(np.count_nonzero(is_property[t[:, 0]] | is_property[t[:, 2]])),
     )
 
 
@@ -265,12 +295,15 @@ def parse_vocabulary(text: str, unify: bool) -> Vocabulary:
 
     Load replays the rule that built the vocabulary: each line's roles are
     added with Vocabulary._add, and the line is accepted only when every
-    role gets the line's own id. So a dump loads exactly when building
-    would assign the same ids.
+    role gets the line's own id, with the id written as str(id) and the
+    text ending in a newline. So a dump loads exactly when building would
+    assign the same ids, and it dumps back to the same text.
     """
+    if text and not text.endswith("\n"):
+        raise FormatError("vocabulary dump does not end in a newline")
     vocab = Vocabulary(unify)
-    lines = text.split("\n")  # not splitlines(): a term may hold U+0085, \v, \f, ...
-    for line_no, line in enumerate(lines[:-1] if lines[-1] == "" else lines, start=1):
+    lines = text.split("\n")[:-1]  # not splitlines(): a term may hold U+0085, \v, \f, ...
+    for line_no, line in enumerate(lines, start=1):
         fields = line.split("\t")
         if len(fields) != 3:
             raise FormatError(f"vocabulary line {line_no}: expected 3 fields")
@@ -281,6 +314,8 @@ def parse_vocabulary(text: str, unify: bool) -> Vocabulary:
             raise FormatError(f"vocabulary line {line_no}: id {id_str!r} is not an integer") from None
         if id_ != len(vocab):
             raise FormatError(f"vocabulary line {line_no}: ids must be dense and ascending")
+        if id_str != str(id_):
+            raise FormatError(f"vocabulary line {line_no}: id {id_str!r} is not written as {id_}")
         if roles not in ("E", "P", "EP"):
             raise FormatError(f"vocabulary line {line_no}: bad role {roles!r}")
         if any(vocab._add(term, role) != id_ for role in roles):

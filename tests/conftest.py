@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from kgeu import RawTriple, Triple, build_vocabulary, intern, pair_grad_batch, score_batch
+from kgeu import MalformedLineError, RawTriple, Triple, UnknownTermError, build_vocabulary, intern, pair_grad_batch, score_batch
 from kgeu.evaluator import _chunk_ranks
 from kgeu.models import CandidateScreen, _pair_reg_ids, _sigmoid
 
@@ -20,6 +20,38 @@ def mini_bilingual(entity_links: bool = False) -> list[RawTriple]:
     if entity_links:
         triples.append(RawTriple("ex:Spain", "ex:honyaku", "ex:Supein"))
     return triples
+
+
+def reference_parse_tsv(text: str) -> list[RawTriple]:
+    """parse_tsv one line at a time with every check on every line, as it
+    was before its fast path: the oracle for that path."""
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    triples = []
+    for line_no, line in enumerate((line.rstrip("\r") for line in lines), start=1):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise MalformedLineError(line_no, f"expected 3 tab-separated fields, got {len(fields)}")
+        if any(f == "" for f in fields):
+            raise MalformedLineError(line_no, "empty field")
+        triples.append(RawTriple(fields[0], fields[1], fields[2]))
+    return triples
+
+
+def reference_intern(raws, vocab) -> tuple[list[Triple], int]:
+    """intern's (triples, duplicates) from the role dicts, one Triple per
+    raw triple; raises UnknownTermError naming every missing term."""
+    missing = {term for t in raws for term, table in zip(t, (vocab._entity_id, vocab._property_id, vocab._entity_id))
+               if term not in table}
+    if missing:
+        raise UnknownTermError(missing)
+    ids = [Triple(vocab._entity_id[t.subject], vocab._property_id[t.predicate], vocab._entity_id[t.object])
+           for t in raws]
+    unique = list(dict.fromkeys(ids))
+    return unique, len(ids) - len(unique)
 
 
 def score(table, t) -> float:

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import kgeu.cli
 from kgeu import build_vocabulary, candidate_set, load, parse_tsv, save, score_batch, write_tsv, write_ntriples
 from kgeu.cli import build_parser, main, _train_config
 from conftest import edit_header, mini_bilingual
@@ -237,6 +238,30 @@ def test_eval_multiple_archives_emits_avg_best(capsys, tmp_path, bilingual_tsv):
     assert code == 0
     assert "TransU(TransE):Avg" in stdout
     assert "TransU(TransE):Best" in stdout
+
+
+def test_eval_indexes_once_per_run_of_archives_with_equal_vocabularies(capsys, monkeypatch, tmp_path,
+                                                                       bilingual_tsv):
+    for flags, out in ((["--seeds", "2"], "m.kgeu"), (["--no-unify"], "split.kgeu")):
+        run(capsys, "train", "--model", "transe", "--dim", "8", "--epochs", "20", "--lr", "0.05", *flags,
+            "--out", tmp_path / out, bilingual_tsv)
+    s0, s1, split = tmp_path / "m.kgeu.s0", tmp_path / "m.kgeu.s1", tmp_path / "split.kgeu"
+    alone = {a: run(capsys, "eval", "--train", bilingual_tsv, a, bilingual_tsv)[1].splitlines()
+             for a in (s0, s1, split)}
+    builds = []
+
+    class CountingIndex(kgeu.cli.TripleIndex):
+        def __init__(self, triples=()):
+            builds.append(len(triples))
+            super().__init__(triples)
+
+    monkeypatch.setattr(kgeu.cli, "TripleIndex", CountingIndex)
+    for archives, want in (([s0, s1], 1), ([s0, split, s1], 3), ([split, s0, s1], 2)):
+        builds.clear()
+        code, stdout, _ = run(capsys, "eval", "--train", bilingual_tsv, *archives, bilingual_tsv)
+        assert code == 0 and len(builds) == want
+        rows = [line.split() for line in stdout.splitlines()[1:1 + len(archives)]]
+        assert rows == [alone[a][1].split() for a in archives]
 
 
 def test_eval_unknown_test_term(capsys, tmp_path, trained_archive):

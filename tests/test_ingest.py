@@ -1,9 +1,10 @@
 import io
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kgeu import MalformedLineError, RawTriple, drop_literals, parse_ntriples, parse_tsv, write_ntriples, write_tsv
+from conftest import reference_parse_tsv
 
 NT_SAMPLE = """\
 # birthplace example
@@ -48,7 +49,8 @@ def test_parse_ntriples_malformed(line):
 
 
 def test_parse_tsv_basic():
-    text = "/m/01\t/film/genre\t/m/02\n\ne0\tr0\te1\n"
+    # whitespace-only lines are blank, even when they hold three fields
+    text = "/m/01\t/film/genre\t/m/02\n\n \t \t \n\x85\t\u2028\t\x0c\r\ne0\tr0\te1\n"
     triples = parse_tsv(text)
     assert triples == [
         RawTriple("/m/01", "/film/genre", "/m/02"),
@@ -104,3 +106,32 @@ def test_nt_and_tsv_agree_on_equivalent_content(triples):
 def test_nt_round_trip_keeps_literal_flag():
     triples = [RawTriple("ex:A", "ex:p", "some words here", is_literal=True)]
     assert parse_ntriples(write_ntriples(triples)) == triples
+
+
+# Lines that stress parse_tsv's fast path: CR and CRLF ends, blank, tab-only
+# and whitespace-only lines, empty fields, 2 or 4 fields, and terms holding
+# U+0085 or U+2028 (whitespace to str.strip, not line ends to the parser).
+tsv_field = st.sampled_from(["", " ", "a", "b c", "\r", " \r", "x\r", "\x85", "t\u2028u", "\u2028", "\x0c", "e1"])
+tsv_line = st.one_of(
+    st.lists(tsv_field, min_size=1, max_size=4).map("\t".join),
+    st.sampled_from(["", " ", "\t", "\t\t", " \t \t ", "\r", "\t\t\r", "\x85\t\u2028\t \r"]),
+)
+
+
+@given(st.lists(tsv_line, max_size=8), st.sampled_from(["\n", "\r\n"]), st.booleans())
+@settings(max_examples=300)
+def test_parse_tsv_equals_the_per_line_oracle(lines, end, final_end):
+    text = end.join(lines) + (end if final_end and lines else "")
+    try:
+        want = reference_parse_tsv(text)
+    except MalformedLineError as e:
+        want = (e.line_no, str(e))
+    for source in (text, io.StringIO(text, newline="\n")):
+        try:
+            got = parse_tsv(source)
+        except MalformedLineError as e:
+            got = (e.line_no, str(e))
+        assert got == want
+        if isinstance(got, list):
+            assert all(type(t) is RawTriple and t.is_literal is False for t in got)
+

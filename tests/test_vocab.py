@@ -17,7 +17,7 @@ from kgeu import (
     parse_vocabulary,
 )
 from kgeu.vocab import MAX_INDEX_IDS
-from conftest import random_graph
+from conftest import random_graph, reference_intern
 
 
 def test_unified_vocabulary_shares_ids(bilingual_raws):
@@ -105,6 +105,25 @@ def test_reintern_identity(raws, unify):
         assert again == t
 
 
+@given(st.lists(st.builds(RawTriple, *[st.sampled_from(["t0", "t1", "t2", "t3", "x"])] * 3), max_size=30),
+       st.booleans())
+@settings(max_examples=100)
+def test_intern_equals_reference(raws, unify):
+    # the vocabulary lacks every role of "x" and some roles of t0..t3
+    vocab = build_vocabulary([RawTriple("t0", "t1", "t2"), RawTriple("t2", "t3", "t1")], unify=unify)
+    try:
+        want = reference_intern(raws, vocab)
+    except UnknownTermError as e:
+        want = e.terms
+    try:
+        result = intern(iter(raws), vocab)
+        got = (result.triples, result.duplicates)
+        assert all(type(t) is Triple for t in result.triples)
+    except UnknownTermError as e:
+        got = e.terms
+    assert got == want
+
+
 def test_intern_self_consistency(bilingual_raws, bilingual_vocab):
     result = intern(bilingual_raws, bilingual_vocab)
     assert len(result.triples) == 3
@@ -179,6 +198,25 @@ def test_triple_index_agrees_with_set_oracle(triples, probes):
             assert ids[rows == q].tolist() == want
 
 
+@given(id_triples)
+@settings(max_examples=60)
+def test_triple_index_keys_equal_np_unique(triples):
+    arr = np.array(triples, dtype=np.int64).reshape(-1, 3)
+    n = int(arr.max()) + 1 if len(arr) else 0
+    s, p, o = arr.T
+    spo, pos = np.unique((s * n + p) * n + o), np.unique((p * n + o) * n + s)
+    for source in (triples, (t for t in triples), arr):
+        index = TripleIndex(source)
+        assert index._spo.dtype == index._pos.dtype == np.int64
+        assert np.array_equal(index._spo, spo) and np.array_equal(index._pos, pos)
+
+
+@pytest.mark.parametrize("rows", [[(1, 2)], [(1, 2, 3, 4)], [(1, 2), (3, 4, 5, 6)], [(0, 1, 2), (3, 4)], [1, 2, 3]])
+def test_triple_index_rejects_a_row_that_is_not_three_ids(rows):
+    with pytest.raises((ValueError, TypeError)):
+        TripleIndex(rows)
+
+
 def test_triple_index_key_overflow_is_an_error():
     top = MAX_INDEX_IDS - 1
     index = TripleIndex([(top, top, top), (0, top, 1)])  # n**3 still fits int64
@@ -207,6 +245,18 @@ def test_dataset_stats_zero_overlap():
     stats = dataset_stats(vocab, intern(raws, vocab).triples)
     assert stats.n_shared == 0
     assert stats.property_node_triples == 0
+
+
+@pytest.mark.parametrize("unify", [True, False])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_dataset_stats_property_node_count_equals_per_triple_loop(unify, seed):
+    raws = random_graph(np.random.default_rng(seed), n_entities=12, n_relations=4, n_triples=40,
+                        property_nodes=True)
+    vocab = build_vocabulary(raws, unify=unify)
+    triples = intern(raws, vocab).triples
+    want = sum(vocab.has_property(vocab.term(t.s)) or vocab.has_property(vocab.term(t.o)) for t in triples)
+    assert want > 0
+    assert dataset_stats(vocab, triples).property_node_triples == want
 
 
 @pytest.mark.parametrize("unify", [True, False])
@@ -245,6 +295,15 @@ def test_parse_vocabulary_rejects_garbage():
 def test_parse_vocabulary_non_integer_id_is_format_error():
     with pytest.raises(FormatError, match="not an integer"):
         parse_vocabulary("x\tfoo\tE\n", unify=True)
+
+
+@pytest.mark.parametrize("text", ["+0\tx\tE\n", " 0 \tx\tE\n", "\u0660\tx\tE\n", "0\tx\tE"])
+def test_parse_vocabulary_rejects_what_dump_never_writes(text):
+    # int() takes a sign, padding and non-ASCII digits; a dump always ends in \n
+    with pytest.raises(FormatError):
+        parse_vocabulary(text, unify=True)
+    assert dump_vocabulary(parse_vocabulary("0\tx\tE\n", unify=True)) == "0\tx\tE\n"
+    assert len(parse_vocabulary("", unify=True)) == 0
 
 
 def test_parse_vocabulary_unified_term_with_two_ids_is_format_error():
