@@ -2,14 +2,15 @@
 
 For each test triple and direction, every candidate id is substituted
 into the missing position and scored. A CandidateScreen scores a chunk of
-QUERY_CHUNK test triples at a time with one matrix product, each score
-with a proven error bound. Candidates that the bound places above or
-below the true answer's bitwise score_batch score are counted from it;
-the rest are rescored with score_batch and compared exactly, so every
-rank is the one that bitwise scores give. The filtered setting removes
-candidates that form a known triple, except the true answer. Ties are
-broken pessimistically: a candidate scoring exactly the true answer's
-score counts against it, so a constant scorer earns the worst-case rank.
+test triples in every direction with one matrix product against the
+table, each score with a proven error bound. Candidates that the bound
+places above or below the true answer's bitwise score_batch score are
+counted from it; the rest are rescored with score_batch and compared
+exactly, so every rank is the one that bitwise scores give. The filtered
+setting removes candidates that form a known triple, except the true
+answer. Ties are broken pessimistically: a candidate scoring exactly the
+true answer's score counts against it, so a constant scorer earns the
+worst-case rank.
 """
 
 from dataclasses import asdict, dataclass, fields, replace
@@ -22,9 +23,16 @@ from .vocab import Triple, TripleIndex, Vocabulary, id_array
 
 CANDIDATE_POLICIES = ("entities-only", "entities-plus-shared-properties")
 TIE_BREAK = "pessimistic"
-# Test triples per screen call: evaluate() holds a few QUERY_CHUNK x C
-# arrays besides the C gathered candidate rows.
+# Test triples per screen call, at most, and fewer where their query rows
+# (triples x directions) times the ids would exceed SCREEN_ELEMENTS: evaluate()
+# holds a few such arrays, however large the table, and reads it in place.
+# Each cap is the faster one somewhere. On a 2,277-id TransE d=200 table,
+# 4,342 triples took 280-310 ms in chunks of 64 and 354-387 ms in the chunks
+# of 230 that SCREEN_ELEMENTS alone allows; on 16,296 ids, 2,048 triples took
+# 20-35% longer with SCREEN_ELEMENTS at 2^18 or 2^19 (8 or 16 per chunk)
+# than at 2^20 (32 per chunk).
 QUERY_CHUNK = 64
+SCREEN_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -59,63 +67,69 @@ def candidate_set(vocab: Vocabulary, policy: str = "entities-only") -> np.ndarra
     return np.union1d(vocab.entity_ids, shared)
 
 
-def _true_positions(triples: np.ndarray, direction: str, candidates: np.ndarray) -> np.ndarray:
-    true_ids = triples[:, DIRECTIONS.index(direction)]
-    pos = np.searchsorted(candidates, true_ids)
-    bad = pos == len(candidates)
-    bad[~bad] = candidates[pos[~bad]] != true_ids[~bad]
+def _check_true_answers(true_ids: np.ndarray, directions: tuple[str, ...], is_candidate: np.ndarray) -> None:
+    """Raise unless every id of `true_ids` (the answers of each direction in
+    turn) is a candidate, per the mask `is_candidate` over all ids."""
+    bad = ~is_candidate[true_ids]
     if bad.any():
+        i = int(np.argmax(bad))
         raise TrueAnswerNotCandidateError(
-            f"true {direction} id {true_ids[np.argmax(bad)]} is not in the candidate set"
+            f"true {directions[i * len(directions) // len(true_ids)]} id {true_ids[i]} "
+            "is not in the candidate set"
         )
-    return pos
 
 
-def _chunk_ranks(screen: CandidateScreen, triples: np.ndarray, direction: str,
+def _chunk_ranks(screen: CandidateScreen, triples: np.ndarray, directions: tuple[str, ...],
                  index: TripleIndex) -> tuple[np.ndarray, np.ndarray]:
-    """Raw and filtered ranks of the true answers of (Q, 3) `triples`.
+    """Raw and filtered ranks of the true answers of (Q, 3) `triples`, as
+    (len(directions), Q) arrays.
 
-    Both count, from one (Q, C) `score >= true score` matrix, the other
-    candidates that tie or beat the true answer; the filtered rank then
-    drops those that complete a known triple, found with index.known().
-    The true scores come from score_batch. A candidate is decided by the
-    screen when approx - bound >= true score (counted) or approx + bound <
-    true score (not counted); every other one, and every candidate of a
-    query whose true score is not finite, is rescored with score_batch.
+    Both count, from one (D·Q, n_ids) `score >= true score` matrix with
+    the columns of non-candidates masked out, the other candidates that
+    tie or beat the true answer; the filtered rank then drops those that
+    complete a known triple, found with index.known(). The true scores
+    come from score_batch. With gap = approx - true score from the screen,
+    a candidate is decided where |gap| > bound, and counted there when
+    gap >= 0; every other one, and every candidate of a query whose true
+    score is not finite (a nan gap), is rescored with score_batch. The
+    exact (L1) screen's gap is the difference of two bitwise scores, so
+    there every gap but nan is decided, ties included.
     """
-    table, candidates = screen.table, screen.candidates
-    slot = DIRECTIONS.index(direction)
-    queries = np.delete(triples, slot, axis=1)
-    true_pos = _true_positions(triples, direction, candidates)
+    table, n_q = screen.table, len(triples)
+    slots = np.array([DIRECTIONS.index(d) for d in directions])
+    true_ids = triples[:, slots].T.ravel()      # the true answer's column in each row
+    _check_true_answers(true_ids, directions, screen.is_candidate)
     true = score_batch(table, triples[:, 0], triples[:, 1], triples[:, 2])
-    approx, bound = screen(queries, direction)
-    t = np.where(np.isfinite(true), true, np.nan)[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):  # nan edges stay unsure
-        edge = approx - bound
-        ge = edge >= t
-        np.add(approx, bound, out=edge)
-        unsure = ~(ge | (edge < t))
-    q = np.arange(len(triples))
-    unsure[q, true_pos] = False
-    rq, rc = np.nonzero(unsure)
+    gap, bound = screen(triples, directions, true)
+    with np.errstate(invalid="ignore"):  # nan gaps and bounds stay unsure
+        ge = np.greater_equal(gap, 0.0)     # read only where sure
+        if screen.exact:
+            sure = ~np.isnan(gap)
+        else:
+            sure = np.greater(np.abs(gap, out=gap), bound)
+    ge &= screen.is_candidate
+    unsure = ~sure & screen.is_candidate
+    r = np.arange(len(gap))
+    unsure[r, true_ids] = False
+    rq, rc = np.divmod(np.flatnonzero(unsure), unsure.shape[1])  # 2-d np.nonzero is many times slower
     step = max(1, BLOCK_BYTES // (table.node_vectors.itemsize * table.config.width))
     for b0 in range(0, len(rq), step):
         iq, ic = rq[b0:b0 + step], rc[b0:b0 + step]
-        rescored = triples[iq]
-        rescored[:, slot] = candidates[ic]
-        ge[iq, ic] = score_batch(table, rescored[:, 0], rescored[:, 1], rescored[:, 2]) >= true[iq]
-    ge[q, true_pos] = False
-    raw = 1 + np.count_nonzero(ge, axis=1)
-    rows, ids = index.known(queries, direction)
-    at = np.searchsorted(candidates, ids)
-    hit = at < len(candidates)
-    hit[hit] = candidates[at[hit]] == ids[hit]
-    rows, at = rows[hit], at[hit]
-    filt = raw - np.bincount(rows[ge[rows, at]], minlength=len(q))
+        rescored = triples[iq % n_q]
+        rescored[np.arange(len(iq)), slots[iq // n_q]] = ic
+        ge[iq, ic] = score_batch(table, rescored[:, 0], rescored[:, 1], rescored[:, 2]) >= true[iq % n_q]
+    ge[r, true_ids] = False
+    raw = 1 + np.count_nonzero(ge, axis=1).reshape(len(directions), n_q)
+    filt = raw.copy()
+    for k, direction in enumerate(directions):
+        rows, ids = index.known(np.delete(triples, slots[k], axis=1), direction)
+        inside = ids < ge.shape[1]
+        rows, ids = rows[inside], ids[inside]
+        filt[k] -= np.bincount(rows[ge[k * n_q + rows, ids]], minlength=n_q)
     if np.any(filt > raw):
-        bad = int(np.argmax(filt > raw))
-        raise RuntimeError(f"filtered rank {filt[bad]} exceeds raw rank {raw[bad]} "
-                           f"for {direction} of {Triple(*triples[bad].tolist())}")
+        k, bad = np.unravel_index(np.argmax(filt > raw), filt.shape)
+        raise RuntimeError(f"filtered rank {filt[k, bad]} exceeds raw rank {raw[k, bad]} "
+                           f"for {directions[k]} of {Triple(*triples[bad].tolist())}")
     return raw, filt
 
 
@@ -175,18 +189,15 @@ def evaluate(
         raise EmptyDatasetError("no test triples to evaluate")
     candidates = candidate_set(vocab, config.candidate_policy)
     screen = CandidateScreen(table, candidates)
-    by_dir: dict[str, tuple[list, list]] = {d: ([], []) for d in config.directions}
-    for start in range(0, len(test_triples), QUERY_CHUNK):
-        ids = id_array(test_triples[start:start + QUERY_CHUNK])
-        for direction in config.directions:
-            raw, filt = _chunk_ranks(screen, ids, direction, index)
-            by_dir[direction][0].append(raw)
-            by_dir[direction][1].append(filt)
+    per_triple = len(config.directions) * len(table.node_vectors)
+    step = max(1, min(QUERY_CHUNK, SCREEN_ELEMENTS // per_triple))
+    chunks = [_chunk_ranks(screen, id_array(test_triples[start:start + step]), config.directions, index)
+              for start in range(0, len(test_triples), step)]
+    raw = np.concatenate([r for r, _ in chunks], axis=1)
+    filt = np.concatenate([f for _, f in chunks], axis=1)
 
-    ranks = {d: (np.concatenate(raws), np.concatenate(filts)) for d, (raws, filts) in by_dir.items()}
-    all_raw = np.concatenate([raw for raw, _ in ranks.values()])
-    all_filt = np.concatenate([filt for _, filt in ranks.values()])
-    combined = _stats(all_raw, all_filt, config.hits_k)
+    ranks = dict(zip(config.directions, zip(raw, filt)))
+    combined = _stats(raw.ravel(), filt.ravel(), config.hits_k)
     empty = DirectionStats(0.0, 0.0, 0.0, 0.0)
     head = _stats(*ranks["head"], config.hits_k) if "head" in ranks else empty
     tail = _stats(*ranks["tail"], config.hits_k) if "tail" in ranks else empty

@@ -82,14 +82,33 @@ class EmbeddingTable:
     node_vectors: np.ndarray                 # (n_ids, width) float64
     relation_normals: np.ndarray | None      # (n_properties, dim), transh only
     property_ids: np.ndarray                 # ascending; row k of normals is property_ids[k]
+    # (node_vectors, its squared row norms) while that array is read-only
+    _sq_cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def normal_slot(self, p: np.ndarray | int) -> np.ndarray | int:
         """Dense index of property id(s) into relation_normals."""
         return np.searchsorted(self.property_ids, p)
 
     def copy(self) -> "EmbeddingTable":
+        """A table with writeable copies of the arrays (store.load's are read-only)."""
         normals = None if self.relation_normals is None else self.relation_normals.copy()
         return EmbeddingTable(self.config, self.node_vectors.copy(), normals, self.property_ids)
+
+    def sq_norms(self) -> np.ndarray:
+        """Squared L2 norm of every node row.
+
+        Computed once and kept while node_vectors is the same read-only
+        array (as store.load returns it), so a read-only table must not
+        change through another view of its memory. A writeable table, such
+        as one in training, is recomputed on every call.
+        """
+        nodes = self.node_vectors
+        cached = self._sq_cache
+        if cached is not None and cached[0] is nodes and not nodes.flags.writeable:
+            return cached[1]
+        sq = np.einsum("ij,ij->i", nodes, nodes)
+        self._sq_cache = None if nodes.flags.writeable else (nodes, sq)
+        return sq
 
     def all_finite(self) -> bool:
         ok = bool(np.all(np.isfinite(self.node_vectors)))
@@ -315,26 +334,37 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 
 
 class CandidateScreen:
-    """Approximate scores of every candidate, each with a proven error bound.
+    """Approximate scores of every id in a missing slot, each with a proven
+    error bound.
 
-    Built once per candidate set: it gathers the candidate rows E and their
-    norms ‖e‖. Calling it with a chunk of Q queries (as score_candidates
-    takes them) returns `(approx, bound)`, (Q, C) arrays such that the
-    exact _forward score lies in [approx - bound, approx + bound] wherever
-    bound is finite. Where a row's norm is not finite or exceeds
-    SCREEN_NORM_LIMIT, bound is inf or nan, so nothing is proven.
+    Built once per candidate set, it keeps the candidate mask and the
+    capped row norms ‖e‖ of the whole table, from
+    EmbeddingTable.sq_norms (computed once for a read-only table), and
+    reads node_vectors in place: nothing is gathered. Calling it with a
+    chunk of Q id triples (Q, 3), the directions to predict (head and/or
+    tail) and the triples' true scores returns `(gap, bound)`, two
+    (D·Q, n_ids) arrays: row k·Q + i is triple i with direction k
+    predicted, column j puts id j in that slot, and gap = approx - true
+    score, such that the exact _forward score lies in
+    [approx - bound, approx + bound] wherever bound is finite. Columns of
+    ids that are not candidates are computed alike; the caller masks them.
+    Where a row's norm is not finite or exceeds SCREEN_NORM_LIMIT, bound
+    is inf or nan, so nothing is proven.
 
-    With a query vector a, the score is one matrix product against E:
+    With a query vector a per row, every row's score comes from one
+    matrix product of the D·Q query vectors against node_vectors E:
 
     * complex: linear in the candidate, approx = A·e; A holds each query's
-      factors built from its two fixed rows.
+      factors built from its two fixed rows (the head direction uses the
+      conjugate relation).
     * transe-l2: distance² = ‖a‖² + ‖e‖² - 2a·e with a = v_s + v_p (tail)
       or v_o - v_p (head).
     * transh-l2: one product against [a; w] with a = P(v_fixed) ± v_p and
       P(x) = x - (w·x)w; then a·P(e) = a·e - (w·a)(w·e) and
-      ‖P(e)‖² = ‖e‖² - 2(w·e)² + ‖w‖²(w·e)², which hold for any w.
+      ‖P(e)‖² = ‖e‖² - 2(w·e)² + ‖w‖²(w·e)², which hold for any w. The
+      normals are shared by the head and tail rows of a triple.
     * l1: no inner-product form; approx is score_candidates itself and
-      bound is 0.
+      bound is 0, so gap is exact and ties need no rescoring.
 
     The bound: an expression of rounding depth k, evaluated in floating
     point, is within γ_k = k·u/(1 - k·u) (u = 2⁻⁵³) times the same
@@ -352,18 +382,21 @@ class CandidateScreen:
     (|√x - √y| ≤ √|x - y|), so the two differ by at most 2·sqrt(γ_K)·M;
     each path's complex score is within γ_K·M of the exact one, so the two
     differ by at most 2γ_K·M. The bound takes 3 in place of 2, which covers
-    the rounding of the norms, of the bound itself and of approx ± bound;
-    SCREEN_FLOOR covers underflow.
+    the rounding of the norms, of the bound itself and of gap (one
+    subtraction, so its sign is exact and its relative error at most u);
+    SCREEN_FLOOR covers underflow. A distance² that rounds below zero
+    gives a nan gap, which no bound decides.
     """
 
     def __init__(self, table: EmbeddingTable, candidates: np.ndarray):
         self.table = table
         self.candidates = np.asarray(candidates, dtype=np.int64)
+        self.is_candidate = np.zeros(len(table.node_vectors), dtype=bool)
+        self.is_candidate[self.candidates] = True
         cfg = table.config
         self.exact = cfg.model != "complex" and cfg.norm == "l1"
         if not self.exact:
-            self.rows = table.node_vectors[self.candidates]
-            self.sq = np.einsum("ij,ij->i", self.rows, self.rows)
+            self.sq = table.sq_norms()
             norms = np.sqrt(self.sq)
             self.norms = np.where(norms <= SCREEN_NORM_LIMIT, norms, np.inf)
             k = 4 * cfg.width + 16
@@ -371,66 +404,79 @@ class CandidateScreen:
             self.rel = 3.0 * (gamma if cfg.model == "complex" else math.sqrt(gamma))
 
     @np.errstate(over="ignore", invalid="ignore")  # a non-finite bound proves nothing
-    def __call__(self, queries: np.ndarray, direction: str) -> tuple[np.ndarray, np.ndarray | float]:
-        if direction not in ("head", "tail"):
-            raise InvalidConfigError(f"unknown direction {direction!r}")
+    def __call__(self, triples: np.ndarray, directions: tuple[str, ...],
+                 true: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
+        if not directions or any(d not in ("head", "tail") for d in directions):
+            raise InvalidConfigError(f"directions must be head and/or tail, got {directions!r}")
         table = self.table
-        if self.exact:
-            return score_candidates(table, queries, direction, self.candidates), 0.0
         cfg = table.config
         nodes = table.node_vectors
-        queries = np.asarray(queries, dtype=np.int64).reshape(-1, 2)
-        tail = direction == "tail"
-        p = queries[:, 1] if tail else queries[:, 0]
-        fixed = nodes[queries[:, 0] if tail else queries[:, 1]]  # v_s for tail, v_o for head
-        vp = nodes[p]
+        triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+        n_q, n_rows = len(triples), len(directions) * len(triples)
+        t = np.tile(np.where(np.isfinite(true), true, np.nan), len(directions))[:, None]
+        if self.exact:
+            gap = np.zeros((n_rows, len(nodes)))
+            for k, direction in enumerate(directions):
+                queries = np.delete(triples, DIRECTIONS.index(direction), axis=1)
+                gap[k * n_q:(k + 1) * n_q, self.candidates] = score_candidates(
+                    table, queries, direction, self.candidates)
+            return np.subtract(gap, t, out=gap), 0.0
+
+        rows = np.tile(triples, (len(directions), 1))
+        tail = np.repeat([d == "tail" for d in directions], n_q)
+        fixed = nodes[np.where(tail, rows[:, 0], rows[:, 2])]   # v_s for tail rows, v_o for head rows
+        vp = nodes[rows[:, 1]]
+        sign = np.where(tail, 1.0, -1.0)[:, None]
         n_fixed, n_p = _row_norms(fixed), _row_norms(vp)
         ok = (n_fixed <= SCREEN_NORM_LIMIT) & (n_p <= SCREEN_NORM_LIMIT)
 
         if cfg.model == "complex":
             dim = cfg.dim
             rr, ri = _complex_parts(vp, dim)
+            ri = sign * ri
             xr, xi = _complex_parts(fixed, dim)
-            if tail:   # score = (sr*rr - si*ri)·or + (sr*ri + si*rr)·oi
-                a = np.concatenate([xr * rr - xi * ri, xr * ri + xi * rr], axis=1)
-                h = np.concatenate([abs(xr * rr) + abs(xi * ri), abs(xr * ri) + abs(xi * rr)], axis=1)
-            else:      # score = sr·(rr*or + ri*oi) + si·(rr*oi - ri*or)
-                a = np.concatenate([rr * xr + ri * xi, rr * xi - ri * xr], axis=1)
-                h = np.concatenate([abs(rr * xr) + abs(ri * xi), abs(rr * xi) + abs(ri * xr)], axis=1)
-            approx = a @ self.rows.T
-            coef = np.where(ok, self.rel * _row_norms(h), np.inf)
-            bound = np.multiply.outer(coef, self.norms)
+            # score = (xr*rr - xi*ri)·er + (xr*ri + xi*rr)·ei
+            a = np.concatenate([xr * rr - xi * ri, xr * ri + xi * rr], axis=1)
+            h = np.concatenate([abs(xr * rr) + abs(xi * ri), abs(xr * ri) + abs(xi * rr)], axis=1)
+            gap = np.matmul(a, nodes.T)
+            gap -= t
+            bound = np.multiply.outer(np.where(ok, self.rel * _row_norms(h), np.inf), self.norms)
             bound += SCREEN_FLOOR
-            return approx, bound
+            return gap, bound
 
         if cfg.model == "transe":
-            alpha, beta = n_fixed + n_p, np.ones(len(queries))
+            alpha, beta = n_fixed + n_p, None
         else:
-            w = table.relation_normals[table.normal_slot(p)]
+            w = table.relation_normals[table.normal_slot(triples[:, 1])]
             w2 = np.einsum("ij,ij->i", w, w)
-            ok &= np.sqrt(w2) <= SCREEN_NORM_LIMIT
-            alpha, beta = (1.0 + w2) * ((1.0 + w2) * n_fixed + n_p), 1.0 + w2
-            fixed = fixed - np.einsum("ij,ij->i", w, fixed)[:, None] * w   # P(v_fixed)
-        a = fixed + vp if tail else fixed - vp
+            w_rows, w2_rows = np.tile(w, (len(directions), 1)), np.tile(w2, len(directions))
+            ok &= np.sqrt(w2_rows) <= SCREEN_NORM_LIMIT
+            beta = 1.0 + w2_rows
+            alpha = beta * (beta * n_fixed + n_p)
+            fixed = fixed - np.einsum("ij,ij->i", w_rows, fixed)[:, None] * w_rows   # P(v_fixed)
+        a = fixed + sign * vp
         if cfg.model == "transe":
-            prod = (-2.0 * a) @ self.rows.T
+            dist = np.matmul(-2.0 * a, nodes.T)    # distance², then distance
         else:
-            both = np.concatenate([-2.0 * a, w]) @ self.rows.T
-            prod, we = both[:len(a)], both[len(a):]
-            extra = (w2 - 2.0)[:, None] * we       # we·(2w·a + (‖w‖² - 2)we)
-            extra += 2.0 * np.einsum("ij,ij->i", w, a)[:, None]
-            extra *= we
-            prod += extra
-        prod += np.einsum("ij,ij->i", a, a)[:, None]
-        prod += self.sq
-        np.maximum(prod, 0.0, out=prod)
-        approx = np.sqrt(prod, out=prod)
-        np.negative(approx, out=approx)
-        alpha = np.where(ok, alpha, np.inf)
+            both = np.matmul(np.concatenate([-2.0 * a, w]), nodes.T)
+            dist, we = both[:n_rows], both[n_rows:]
+            scaled = (w2 - 2.0)[:, None] * we
+            extra = np.empty_like(scaled)
+            wa = 2.0 * np.einsum("ij,ij->i", w_rows, a)
+            for k in range(len(directions)):     # we·(2w·a + (‖w‖² - 2)we)
+                np.add(scaled, wa[k * n_q:(k + 1) * n_q, None], out=extra)
+                extra *= we
+                dist[k * n_q:(k + 1) * n_q] += extra
+        dist += np.einsum("ij,ij->i", a, a)[:, None]
+        dist += self.sq
+        dist = np.sqrt(dist, out=dist)
+        gap = np.subtract(-t, dist, out=dist)     # approx = -dist
+        row = self.rel * np.where(ok, alpha, np.inf) + SCREEN_FLOOR
+        if beta is None:
+            return gap, np.add.outer(row, self.rel * self.norms)
         bound = np.multiply.outer(self.rel * beta, self.norms)
-        bound += (self.rel * alpha)[:, None]
-        bound += SCREEN_FLOOR
-        return approx, bound
+        bound += row[:, None]
+        return gap, bound
 
 
 # ---------------------------------------------------------------------------

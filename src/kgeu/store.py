@@ -73,7 +73,10 @@ def _read_sized(f, what: str) -> bytes:
 
 def load(path: str | Path) -> tuple[EmbeddingTable, Vocabulary, TrainConfig]:
     """Read an archive back; validates version, header schema and types,
-    shapes, and finiteness. Any malformed archive raises FormatError."""
+    shapes, and finiteness. Any malformed archive raises FormatError.
+
+    The table's arrays are read-only views of the file's bytes; use
+    EmbeddingTable.copy() for writeable ones."""
     with open(path, "rb") as f:
         if f.read(len(MAGIC)) != MAGIC:
             raise FormatError("bad magic: not a model archive")
@@ -113,10 +116,11 @@ def load(path: str | Path) -> tuple[EmbeddingTable, Vocabulary, TrainConfig]:
             f"payload holds {len(payload)} bytes, expected {node_bytes + normal_bytes} "
             f"for {n_nodes} rows of width {width}"
         )
-    nodes = np.frombuffer(payload[:node_bytes], dtype="<f8").reshape(n_nodes, width).copy()
+    # read-only views of the payload: no copy, and EmbeddingTable may cache its row norms
+    nodes = np.frombuffer(payload, dtype="<f8", count=n_nodes * width).reshape(n_nodes, width)
     normals = None
     if model_cfg.model == "transh":
-        normals = np.frombuffer(payload[node_bytes:], dtype="<f8").reshape(n_props, model_cfg.dim).copy()
+        normals = np.frombuffer(payload, dtype="<f8", offset=node_bytes).reshape(n_props, model_cfg.dim)
     table = EmbeddingTable(model_cfg, nodes, normals, vocab.property_ids.copy())
     if not table.all_finite():
         raise FormatError("archive contains non-finite parameters")

@@ -66,8 +66,8 @@ def gradient(table, positive, negative):
 
 def rank(table, t, direction, candidates, index, filtered: bool) -> int:
     """evaluate()'s rank of the true answer when `direction` is predicted for `t`."""
-    raw, filt = _chunk_ranks(CandidateScreen(table, candidates), np.array([t]), direction, index)
-    return int(filt[0] if filtered else raw[0])
+    raw, filt = _chunk_ranks(CandidateScreen(table, candidates), np.array([t]), (direction,), index)
+    return int(filt[0, 0] if filtered else raw[0, 0])
 
 
 def reference_rank(scores: np.ndarray, true_pos: int, excluded: np.ndarray | None = None) -> int:

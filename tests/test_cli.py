@@ -340,7 +340,8 @@ def test_eval_and_predict_on_overflowing_rows_warn_nothing(capsys, tmp_path, bil
     archive = tmp_path / "model.kgeu"
     run(capsys, "train", "--model", model, "--norm", norm, "--dim", "8", "--epochs", "20",
         "--out", archive, bilingual_tsv)
-    table, vocab, cfg = load(archive)
+    loaded, vocab, cfg = load(archive)
+    table = loaded.copy()  # load() returns read-only arrays
     ids = [vocab.entity_id("ex:A"), vocab.property_id("ex:birthplace"), vocab.entity_id("ex:Spain"),
            vocab.entity_id("ex:B"), vocab.property_id("ex:shusshin")]
     table.node_vectors[ids] *= 1e160  # squares overflow; the archive still saves and loads

@@ -9,6 +9,7 @@ from kgeu import (
     InvalidConfigError,
     ModelConfig,
     RawTriple,
+    TrainConfig,
     Triple,
     TripleIndex,
     TrueAnswerNotCandidateError,
@@ -17,8 +18,10 @@ from kgeu import (
     evaluate,
     init_embeddings,
     intern,
+    load,
     model_label,
     render_report_table,
+    save,
     score_batch,
     summarize_reports,
 )
@@ -157,6 +160,21 @@ def test_constant_scorer_gets_worst_case_rank(bilingual_vocab, bilingual_triples
     assert report.mean_rank_raw == len(candidate_set(bilingual_vocab))
 
 
+def test_exact_l1_screen_decides_ties_without_rescoring(bilingual_vocab, bilingual_triples, monkeypatch):
+    cfg = ModelConfig(model="transe", dim=4, norm="l1")
+    table = EmbeddingTable(cfg, np.zeros((len(bilingual_vocab), 4)), None, bilingual_vocab.property_ids)
+    scored = []
+
+    def counting_score_batch(table, s, p, o):
+        scored.append(len(s))
+        return score_batch(table, s, p, o)
+
+    monkeypatch.setattr("kgeu.evaluator.score_batch", counting_score_batch)
+    report = evaluate(table, bilingual_triples, bilingual_vocab, TripleIndex(bilingual_triples), EvalConfig())
+    assert report.mean_rank_raw == len(candidate_set(bilingual_vocab))
+    assert sum(scored) == len(bilingual_triples)  # the true scores only: every tie was decided
+
+
 def test_perfect_single_triple_report():
     raws = [RawTriple("a", "p", "b"), RawTriple("c", "p", "d")]
     vocab = build_vocabulary(raws, unify=True)
@@ -282,10 +300,10 @@ def adversarial_model(model, norm, unify):
 
 @pytest.mark.parametrize("model", ["transe", "transh", "complex"])
 @pytest.mark.parametrize("norm", ["l1", "l2"])
-@pytest.mark.parametrize("direction", ["head", "tail"])
+@pytest.mark.parametrize("directions", [("head",), ("tail",), ("head", "tail")], ids="-".join)
 @pytest.mark.parametrize("policy", ["entities-only", "entities-plus-shared-properties"])
 @pytest.mark.parametrize("unify", [True, False])
-def test_screened_ranks_equal_score_batch_ranks_on_adversarial_tables(model, norm, direction, policy, unify):
+def test_screened_ranks_equal_score_batch_ranks_on_adversarial_tables(model, norm, directions, policy, unify):
     vocab, table, triples = adversarial_model(model, norm, unify)
     index = TripleIndex(triples)
     candidates = candidate_set(vocab, policy)
@@ -294,18 +312,20 @@ def test_screened_ranks_equal_score_batch_ranks_on_adversarial_tables(model, nor
     ties = 0
     for n in (1, QUERY_CHUNK + 3):
         chunk = triples[:n]
-        raw, filt = _chunk_ranks(screen, np.array(chunk), direction, index)
-        for i, t in enumerate(chunk):
-            if direction == "head":
-                scores = score_batch(table, candidates, np.full(c, t.p), np.full(c, t.o))
-                known = {x.s for x in triples if (x.p, x.o) == (t.p, t.o)} - {t.s}
-            else:
-                scores = score_batch(table, np.full(c, t.s), np.full(c, t.p), candidates)
-                known = {x.o for x in triples if (x.s, x.p) == (t.s, t.p)} - {t.o}
-            true_pos = int(np.searchsorted(candidates, t.s if direction == "head" else t.o))
-            ties += np.count_nonzero(np.isfinite(scores) & (scores == scores[true_pos])) - 1
-            assert raw[i] == reference_rank(scores, true_pos)
-            assert filt[i] == reference_rank(scores, true_pos, np.isin(candidates, list(known)))
+        raw, filt = _chunk_ranks(screen, np.array(chunk), directions, index)
+        assert raw.shape == filt.shape == (len(directions), n)
+        for k, direction in enumerate(directions):
+            for i, t in enumerate(chunk):
+                if direction == "head":
+                    scores = score_batch(table, candidates, np.full(c, t.p), np.full(c, t.o))
+                    known = {x.s for x in triples if (x.p, x.o) == (t.p, t.o)} - {t.s}
+                else:
+                    scores = score_batch(table, np.full(c, t.s), np.full(c, t.p), candidates)
+                    known = {x.o for x in triples if (x.s, x.p) == (t.s, t.p)} - {t.o}
+                true_pos = int(np.searchsorted(candidates, t.s if direction == "head" else t.o))
+                ties += np.count_nonzero(np.isfinite(scores) & (scores == scores[true_pos])) - 1
+                assert raw[k, i] == reference_rank(scores, true_pos)
+                assert filt[k, i] == reference_rank(scores, true_pos, np.isin(candidates, list(known)))
     assert ties > 0  # finite exact ties lie inside every band, so rescoring ran
 
 
@@ -323,9 +343,74 @@ def test_screen_rescores_where_the_bitwise_path_overflows():
     c = len(candidates)
     scores = score_batch(table, candidates, np.full(c, r), np.full(c, o))
     true_pos = int(np.searchsorted(candidates, s))
-    raw, _ = _chunk_ranks(CandidateScreen(table, candidates), np.array([[s, r, o]] * 4), "head", TripleIndex())
+    raw, _ = _chunk_ranks(CandidateScreen(table, candidates), np.array([[s, r, o]] * 4), ("head",), TripleIndex())
     assert np.isnan(scores[np.searchsorted(candidates, x)])
-    assert list(raw) == [reference_rank(scores, true_pos)] * 4
+    assert list(raw[0]) == [reference_rank(scores, true_pos)] * 4
+
+
+def score_batch_mean_ranks(table, triples, candidates):
+    """Raw and filtered MeanRank over the head and tail of every triple, from
+    score_batch and reference_rank; the filter is `triples` itself."""
+    c = len(candidates)
+    raw, filt = [], []
+    for direction in ("head", "tail"):
+        for t in triples:
+            if direction == "head":
+                scores = score_batch(table, candidates, np.full(c, t.p), np.full(c, t.o))
+                known = {x.s for x in triples if (x.p, x.o) == (t.p, t.o)} - {t.s}
+            else:
+                scores = score_batch(table, np.full(c, t.s), np.full(c, t.p), candidates)
+                known = {x.o for x in triples if (x.s, x.p) == (t.s, t.p)} - {t.o}
+            true_pos = int(np.searchsorted(candidates, t.s if direction == "head" else t.o))
+            raw.append(reference_rank(scores, true_pos))
+            filt.append(reference_rank(scores, true_pos, np.isin(candidates, list(known))))
+    return float(np.mean(raw)), float(np.mean(filt))
+
+
+def spread_rows(table, rng):
+    """Rescale every node row by its own factor in [0.1, 10], so each
+    squared norm moves far from the old one."""
+    return table.node_vectors * rng.uniform(0.1, 10.0, size=(len(table.node_vectors), 1))
+
+
+@pytest.mark.parametrize("model", ["transe", "transh", "complex"])
+def test_evaluate_sees_in_place_changes_to_a_writeable_table(model):
+    rng = np.random.default_rng(41)
+    raws = random_graph(rng, n_entities=20, n_relations=3, n_triples=60)
+    vocab, table, triples = build_random_model(rng, raws, model=model)
+    table.config = ModelConfig(model=model, dim=6, norm="l2")  # the screened path
+    index = TripleIndex(triples)
+    candidates = candidate_set(vocab)
+    before = evaluate(table, triples, vocab, index)
+    assert (before.mean_rank_raw, before.mean_rank_filtered) == score_batch_mean_ranks(table, triples, candidates)
+    table.node_vectors[:] = spread_rows(table, rng)  # same array, new values
+    assert np.array_equal(table.sq_norms(), np.einsum("ij,ij->i", table.node_vectors, table.node_vectors))
+    after = evaluate(table, triples, vocab, index)
+    assert (after.mean_rank_raw, after.mean_rank_filtered) == score_batch_mean_ranks(table, triples, candidates)
+    assert after.mean_rank_raw != before.mean_rank_raw
+
+
+@pytest.mark.parametrize("model", ["transe", "transh", "complex"])
+def test_replacing_node_vectors_of_a_loaded_table_drops_its_cached_norms(tmp_path, model):
+    rng = np.random.default_rng(42)
+    raws = random_graph(rng, n_entities=20, n_relations=3, n_triples=60)
+    vocab, table, triples = build_random_model(rng, raws, model=model)
+    cfg = TrainConfig(model=ModelConfig(model=model, dim=6, norm="l2"))
+    save(EmbeddingTable(cfg.model, table.node_vectors, table.relation_normals, table.property_ids),
+         vocab, cfg, tmp_path / "model.kgeu")
+    loaded, vocab, _ = load(tmp_path / "model.kgeu")
+    index = TripleIndex(triples)
+    candidates = candidate_set(vocab)
+    before = evaluate(loaded, triples, vocab, index)  # caches the norms of the loaded array
+    assert (before.mean_rank_raw, before.mean_rank_filtered) == score_batch_mean_ranks(loaded, triples, candidates)
+    for writeable in (False, True):
+        other = spread_rows(loaded, rng)
+        other.flags.writeable = writeable
+        loaded.node_vectors = other
+        assert np.array_equal(loaded.sq_norms(), np.einsum("ij,ij->i", other, other))
+        after = evaluate(loaded, triples, vocab, index)
+        assert (after.mean_rank_raw, after.mean_rank_filtered) == score_batch_mean_ranks(loaded, triples, candidates)
+        assert after.mean_rank_raw != before.mean_rank_raw
 
 
 def test_report_invariants_and_json(bilingual_vocab, bilingual_triples):

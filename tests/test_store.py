@@ -44,6 +44,25 @@ def test_round_trip_bitwise(tmp_path, bilingual_raws, model):
         assert score(table2, t) == score(table, t)
 
 
+@pytest.mark.parametrize("model", ["transe", "transh", "complex"])
+def test_loaded_table_is_read_only_and_copy_is_writeable(tmp_path, bilingual_raws, model):
+    table, vocab, cfg, _ = trained(bilingual_raws, model=model)
+    path = tmp_path / "model.kgeu"
+    save(table, vocab, cfg, path)
+    loaded, _, _ = load(path)
+    arrays = [loaded.node_vectors] + ([loaded.relation_normals] if model == "transh" else [])
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+    copy = loaded.copy()
+    copy.node_vectors[0, 0] = 1.0
+    if model == "transh":
+        copy.relation_normals[0, 0] = 1.0
+    assert np.array_equal(loaded.node_vectors, table.node_vectors)  # the copy shares nothing
+    assert copy.node_vectors[0, 0] == 1.0
+
+
 def test_save_load_save_is_byte_identical(tmp_path, bilingual_raws):
     table, vocab, cfg, _ = trained(bilingual_raws)
     p1, p2 = tmp_path / "a.kgeu", tmp_path / "b.kgeu"

@@ -1,0 +1,153 @@
+"""Byte-for-byte comparison of kgeu's command-line outputs between two trees.
+
+    python3 tools/equivalence.py [--base REV]
+
+Extracts the committed tree of REV (default HEAD) with `git archive`, then
+runs one matrix of `kgeu` commands with that tree's `src/` and again with
+the `src/` of this checkout, each tree in its own output directory, and
+compares the bytes of everything the two runs produced. For each of two
+generated graphs (the default `gen-toy` graph and a wider one with more
+candidates and more test triples than one evaluation chunk holds):
+
+* `gen-toy` data files and `ingest --dump` vocabularies (unified and not),
+* 12 archives: TransE, TransH and ComplEx x `--unify`/`--no-unify` x L1/L2,
+  and a 3-seed run,
+* `eval` of every archive under both candidate policies (stdout and
+  `--out-json`) and one multi-archive `eval` of the 3-seed run,
+* `predict` on every archive in all three directions, with and without
+  `--known`,
+
+together with every command's stdout, stderr and exit code. It prints each
+output that differs and exits 1 if any does. Commands run with relative
+paths, so the outputs hold no tree-specific path.
+
+This is a same-machine comparison, not a stored digest: ComplEx's
+`exp`/`logaddexp` can differ in the last bit across CPUs, so only two runs
+on one machine are expected to agree byte for byte.
+"""
+
+import argparse
+import difflib
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+GRAPHS = {
+    "toy": [],
+    "wide": ["--facts", "3000", "--entities", "600", "--relations", "20"],
+}
+TRAIN = ["--dim", "8", "--epochs", "15", "--batch", "16"]
+SEED = "3"  # of the generated graphs and of training
+
+
+def extract(rev: str, dest: Path) -> None:
+    """Write the committed tree of `rev` into `dest`."""
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                         capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as f:
+        f.extractall(dest, filter="data")
+
+
+def first_test_triple(path: Path) -> list[str]:
+    return path.read_text(encoding="utf-8").split("\n", 1)[0].split("\t")
+
+
+def matrix(out: Path, kgeu) -> None:
+    """Run every command of the comparison in `out` through `kgeu(*args)`."""
+    for graph, spec in GRAPHS.items():
+        data = f"{graph}/data"
+        train, test = f"{data}/train.tsv", f"{data}/test.tsv"
+        kgeu("gen-toy", *spec, "--seed", SEED, "--out", data)
+        for unify in ("--unify", "--no-unify"):
+            kgeu("ingest", unify, "--dump", f"{graph}/vocab{unify}.txt", train, test)
+        archives = []
+        for model in ("transe", "transh", "complex"):
+            for unify in ("--unify", "--no-unify"):
+                for norm in ("l1", "l2"):
+                    archive = f"{graph}/{model}{unify}-{norm}.kgeu"
+                    kgeu("train", "--model", model, unify, "--norm", norm, *TRAIN, "--seed", SEED,
+                         "--out", archive, train)
+                    archives.append(archive)
+        kgeu("train", "--model", "transe", *TRAIN, "--seed", SEED, "--seeds", "3",
+             "--out", f"{graph}/seeds.kgeu", train)
+        seeds = sorted(str(p.relative_to(out)) for p in (out / graph).glob("seeds.kgeu.s*"))
+        kgeu("eval", "--train", train, *seeds, test)
+        s, p, o = first_test_triple(out / test)
+        queries = {"head": ["--predicate", p, "--object", o], "tail": ["--subject", s, "--predicate", p],
+                   "relation": ["--subject", s, "--object", o]}
+        for archive in archives:
+            for policy in ("entities-only", "entities-plus-shared-properties"):
+                kgeu("eval", "--train", train, "--candidates", policy,
+                     "--out-json", f"{archive}.{policy}.json", archive, test)
+            for direction, query in queries.items():
+                for known in ([], ["--known", train]):
+                    kgeu("predict", "--direction", direction, *query, *known, archive)
+
+
+def run_tree(src: Path, out: Path) -> list[str]:
+    """Run the matrix with the kgeu sources in `src`, writing into `out`;
+    each command's stdout, stderr and exit code go to out/log/<n>.txt.
+    Returns the commands that exited non-zero."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    (out / "log").mkdir(parents=True)
+    commands, failed = [], []
+
+    def kgeu(*args: str) -> None:
+        proc = subprocess.run([sys.executable, "-m", "kgeu.cli", *args], cwd=out, env=env,
+                              capture_output=True, text=True)
+        commands.append(f"kgeu {' '.join(args)}")
+        if proc.returncode:
+            failed.append(commands[-1])
+        (out / "log" / f"{len(commands):04d}.txt").write_text(
+            f"$ {commands[-1]}\nexit {proc.returncode}\n--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}",
+            encoding="utf-8")
+
+    matrix(out, kgeu)
+    return failed
+
+
+def compare(a: Path, b: Path) -> list[str]:
+    """Relative paths that differ between the trees `a` and `b`, each with
+    a short diff when both sides are text."""
+    files = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
+    files |= {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+    problems = []
+    for rel in sorted(files):
+        x = (a / rel).read_bytes() if (a / rel).is_file() else None
+        y = (b / rel).read_bytes() if (b / rel).is_file() else None
+        if x == y:
+            continue
+        problems.append(f"differs: {rel}" if x is not None and y is not None else f"only on one side: {rel}")
+        try:
+            lines = difflib.unified_diff(x.decode().splitlines(), y.decode().splitlines(), "base", "change",
+                                         lineterm="")
+            problems += ["    " + line for line in list(lines)[:12]]
+        except (AttributeError, UnicodeDecodeError):  # missing or binary
+            pass
+    return problems
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", default="HEAD", help="revision to compare this checkout against")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="kgeu-equivalence-") as tmp:
+        tmp = Path(tmp)
+        extract(args.base, tmp / "base-tree")
+        run_tree(tmp / "base-tree" / "src", tmp / "base")
+        failed = run_tree(ROOT / "src", tmp / "change")
+        outputs = sum(1 for p in (tmp / "change").rglob("*") if p.is_file())
+        problems = compare(tmp / "base", tmp / "change")
+    for command in failed:  # the same failure on both sides is still a matrix to fix
+        print(f"exited non-zero: {command}")
+    print("\n".join(problems) if problems else f"{outputs} outputs byte-identical to {args.base}")
+    return 1 if problems or failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
