@@ -24,7 +24,6 @@ from .errors import (
 from .ingest import RawTriple, drop_literals, parse_ntriples, parse_tsv, write_ntriples, write_tsv
 from .vocab import (
     DatasetStats,
-    Triple,
     TripleIndex,
     Vocabulary,
     build_vocabulary,

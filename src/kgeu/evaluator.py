@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import EmptyDatasetError, InvalidConfigError, TrueAnswerNotCandidateError
 from .models import BLOCK_BYTES, DIRECTIONS, CandidateScreen, EmbeddingTable, is_int, score_batch
-from .vocab import Triple, TripleIndex, Vocabulary, id_array
+from .vocab import IdTriples, TripleIndex, Vocabulary, id_array
 
 CANDIDATE_POLICIES = ("entities-only", "entities-plus-shared-properties")
 TIE_BREAK = "pessimistic"
@@ -99,7 +99,7 @@ def _chunk_ranks(screen: CandidateScreen, triples: np.ndarray, directions: tuple
     slots = np.array([DIRECTIONS.index(d) for d in directions])
     true_ids = triples[:, slots].T.ravel()      # the true answer's column in each row
     _check_true_answers(true_ids, directions, screen.is_candidate)
-    true = score_batch(table, triples[:, 0], triples[:, 1], triples[:, 2])
+    true = score_batch(table, triples)
     gap, bound = screen(triples, directions, true)
     with np.errstate(invalid="ignore"):  # nan gaps and bounds stay unsure
         ge = np.greater_equal(gap, 0.0)     # read only where sure
@@ -117,7 +117,7 @@ def _chunk_ranks(screen: CandidateScreen, triples: np.ndarray, directions: tuple
         iq, ic = rq[b0:b0 + step], rc[b0:b0 + step]
         rescored = triples[iq % n_q]
         rescored[np.arange(len(iq)), slots[iq // n_q]] = ic
-        ge[iq, ic] = score_batch(table, rescored[:, 0], rescored[:, 1], rescored[:, 2]) >= true[iq % n_q]
+        ge[iq, ic] = score_batch(table, rescored) >= true[iq % n_q]
     ge[r, true_ids] = False
     raw = 1 + np.count_nonzero(ge, axis=1).reshape(len(directions), n_q)
     filt = raw.copy()
@@ -129,7 +129,7 @@ def _chunk_ranks(screen: CandidateScreen, triples: np.ndarray, directions: tuple
     if np.any(filt > raw):
         k, bad = np.unravel_index(np.argmax(filt > raw), filt.shape)
         raise RuntimeError(f"filtered rank {filt[k, bad]} exceeds raw rank {raw[k, bad]} "
-                           f"for {directions[k]} of {Triple(*triples[bad].tolist())}")
+                           f"for {directions[k]} of {tuple(triples[bad].tolist())}")
     return raw, filt
 
 
@@ -173,7 +173,7 @@ def _stats(ranks_raw: np.ndarray, ranks_filt: np.ndarray, k: int) -> DirectionSt
 
 def evaluate(
     table: EmbeddingTable,
-    test_triples: list[Triple],
+    test_triples: IdTriples,
     vocab: Vocabulary,
     index: TripleIndex,
     config: EvalConfig = EvalConfig(),
@@ -185,14 +185,15 @@ def evaluate(
     triples removed in the filtered setting (conventionally the union of
     train and test). Results are deterministic for fixed inputs.
     """
-    if not test_triples:
+    triples = id_array(test_triples)
+    if not len(triples):
         raise EmptyDatasetError("no test triples to evaluate")
     candidates = candidate_set(vocab, config.candidate_policy)
     screen = CandidateScreen(table, candidates)
     per_triple = len(config.directions) * len(table.node_vectors)
     step = max(1, min(QUERY_CHUNK, SCREEN_ELEMENTS // per_triple))
-    chunks = [_chunk_ranks(screen, id_array(test_triples[start:start + step]), config.directions, index)
-              for start in range(0, len(test_triples), step)]
+    chunks = [_chunk_ranks(screen, triples[start:start + step], config.directions, index)
+              for start in range(0, len(triples), step)]
     raw = np.concatenate([r for r, _ in chunks], axis=1)
     filt = np.concatenate([f for _, f in chunks], axis=1)
 
@@ -202,7 +203,7 @@ def evaluate(
     head = _stats(*ranks["head"], config.hits_k) if "head" in ranks else empty
     tail = _stats(*ranks["tail"], config.hits_k) if "tail" in ranks else empty
     return EvalReport(
-        n_triples=len(test_triples),
+        n_triples=len(triples),
         n_candidates=len(candidates),
         hits_k=config.hits_k,
         candidate_policy=config.candidate_policy,

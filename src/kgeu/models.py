@@ -9,13 +9,14 @@ Three scoring functions over one row-per-id table:
            dim real parts followed by dim imaginary parts
 
 Each model's score is written once, in `_forward`, which also returns
-the gradient rows when training asks for them. `score_batch` runs it on id
-triples; `score_candidates` is a block loop running it on each query's
-fixed rows against cache-sized blocks of head, relation or tail
-candidates. The one approximate path is `CandidateScreen`, which serves
-evaluation: one matrix product per chunk of queries gives every
-candidate's score up to a proven error bound, and the evaluator rescores
-with `score_batch` only the candidates that the bound cannot place.
+the gradient rows when training asks for them. `score_batch` runs it on
+one (n, 3) id array, the triple shape every layer after `intern` uses;
+`score_candidates` is a block loop running it on each query's fixed rows
+against cache-sized blocks of head, relation or tail candidates. The one
+approximate path is `CandidateScreen`, which serves evaluation: one
+matrix product per chunk of queries gives every candidate's score up to
+a proven error bound, and the evaluator rescores with `score_batch` only
+the candidates that the bound cannot place.
 
 A unified vocabulary id owns a single row, so a term's entity-role and
 relation-role vectors are the same storage and stay identical through
@@ -274,10 +275,10 @@ def _triple_forward(table: EmbeddingTable, ids: np.ndarray, grad: bool = False):
     return _forward(table.config, lambda k: table.node_vectors[ids[:, k]], w, grad)
 
 
-def score_batch(table: EmbeddingTable, s: np.ndarray, p: np.ndarray, o: np.ndarray) -> np.ndarray:
-    """Scores for aligned id arrays; higher means more plausible."""
+def score_batch(table: EmbeddingTable, ids: np.ndarray) -> np.ndarray:
+    """Scores of the (n, 3) id triples `ids`; higher means more plausible."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _triple_forward(table, np.stack([s, p, o], axis=1))
+        return _triple_forward(table, np.asarray(ids, dtype=np.int64).reshape(-1, 3))
 
 
 # Bytes of one block of candidate rows in score_candidates: a block and its

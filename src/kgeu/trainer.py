@@ -24,7 +24,7 @@ from .models import (
     renormalize_entities,
     renormalize_normals,
 )
-from .vocab import Triple, TripleIndex, Vocabulary, id_array
+from .vocab import IdTriples, TripleIndex, Vocabulary, id_array
 
 MAX_REJECTION_ATTEMPTS = 100
 FULL_BATCH_LIMIT = 10_000  # datasets smaller than this default to one batch per epoch
@@ -184,7 +184,7 @@ class TrainResult:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite losses and parameters raise below
-def train(train_triples: list[Triple], vocab: Vocabulary, config: TrainConfig) -> TrainResult:
+def train(train_triples: IdTriples, vocab: Vocabulary, config: TrainConfig) -> TrainResult:
     """Run the full training loop and return the learned table.
 
     Per epoch: shuffle, corrupt each positive into `negatives` negatives,
@@ -193,9 +193,9 @@ def train(train_triples: list[Triple], vocab: Vocabulary, config: TrainConfig) -
     every step). Corruption rejection checks negatives against the
     training triples.
     """
-    if not train_triples:
-        raise EmptyDatasetError("no training triples")
     triples = id_array(train_triples)
+    if not len(triples):
+        raise EmptyDatasetError("no training triples")
     index = TripleIndex(triples)
 
     init_rng, shuffle_rng, sample_rng = (

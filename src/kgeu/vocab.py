@@ -15,7 +15,6 @@ place that looks terms up.
 """
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
@@ -25,14 +24,8 @@ from .errors import EmptyDatasetError, FormatError, IndexOverflowError, InvalidC
 from .ingest import RawTriple
 
 
-class Triple(NamedTuple):
-    s: int
-    p: int
-    o: int
-
-
-# Triple._make without its per-call Python frame: tuple.__new__ on a 3-tuple
-_triple = partial(tuple.__new__, Triple)
+# (n, 3) ids: an int array or a sequence of int 3-tuples
+IdTriples = np.ndarray | Sequence[tuple[int, int, int]]
 
 
 def id_array(triples: Iterable[Sequence[int]] | np.ndarray) -> np.ndarray:
@@ -146,12 +139,12 @@ def build_vocabulary(triples: Sequence[RawTriple], unify: bool) -> Vocabulary:
 
 
 class InternResult(NamedTuple):
-    triples: list[Triple]
+    triples: list[tuple[int, int, int]]  # plain int tuples, which the GC untracks
     duplicates: int
 
 
 def intern(triples: Iterable[RawTriple], vocab: Vocabulary) -> InternResult:
-    """Map raw triples to id triples, dropping exact duplicates.
+    """Map raw triples to (s, p, o) id tuples, dropping exact duplicates.
 
     Output preserves first-occurrence input order. Each term is looked up
     in the role it is used in. Terms the vocabulary lacks in that role
@@ -174,7 +167,7 @@ def intern(triples: Iterable[RawTriple], vocab: Vocabulary) -> InternResult:
             out.append(ids)
     if missing:
         raise UnknownTermError(missing)
-    return InternResult(list(map(_triple, out)), duplicates)
+    return InternResult(out, duplicates)
 
 
 # Largest id count whose index keys, n**3, fit in int64.
@@ -244,9 +237,6 @@ class TripleIndex:
         at = np.arange(len(rows)) + np.repeat(lo - first, counts)
         return rows, keys[at] - base[rows]
 
-    def __contains__(self, t) -> bool:
-        return bool(self.contains(np.array([t]))[0])
-
     def __len__(self) -> int:
         return len(self._spo)
 
@@ -267,7 +257,7 @@ class DatasetStats:
         )
 
 
-def dataset_stats(vocab: Vocabulary, triples: Sequence[Triple]) -> DatasetStats:
+def dataset_stats(vocab: Vocabulary, triples: IdTriples) -> DatasetStats:
     """Counts for reporting: sizes of E1/E2, their overlap, and how many
     triples have a property in subject or object position."""
     # per id: whether its term is a property (in either vocabulary regime)

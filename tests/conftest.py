@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from kgeu import MalformedLineError, RawTriple, Triple, UnknownTermError, build_vocabulary, intern, pair_grad_batch, score_batch
+from kgeu import MalformedLineError, RawTriple, UnknownTermError, build_vocabulary, intern, pair_grad_batch, score_batch
 from kgeu.evaluator import _chunk_ranks
 from kgeu.models import CandidateScreen, _pair_reg_ids, _sigmoid
 
@@ -41,14 +41,14 @@ def reference_parse_tsv(text: str) -> list[RawTriple]:
     return triples
 
 
-def reference_intern(raws, vocab) -> tuple[list[Triple], int]:
-    """intern's (triples, duplicates) from the role dicts, one Triple per
+def reference_intern(raws, vocab) -> tuple[list[tuple[int, int, int]], int]:
+    """intern's (triples, duplicates) from the role dicts, one id tuple per
     raw triple; raises UnknownTermError naming every missing term."""
     missing = {term for t in raws for term, table in zip(t, (vocab._entity_id, vocab._property_id, vocab._entity_id))
                if term not in table}
     if missing:
         raise UnknownTermError(missing)
-    ids = [Triple(vocab._entity_id[t.subject], vocab._property_id[t.predicate], vocab._entity_id[t.object])
+    ids = [(vocab._entity_id[t.subject], vocab._property_id[t.predicate], vocab._entity_id[t.object])
            for t in raws]
     unique = list(dict.fromkeys(ids))
     return unique, len(ids) - len(unique)
@@ -56,7 +56,7 @@ def reference_intern(raws, vocab) -> tuple[list[Triple], int]:
 
 def score(table, t) -> float:
     """score_batch of the one triple `t`."""
-    return float(score_batch(table, *(np.array([v]) for v in t))[0])
+    return float(score_batch(table, np.array([t]))[0])
 
 
 def gradient(table, positive, negative):
@@ -138,7 +138,7 @@ def bilingual_vocab(bilingual_raws):
 
 
 @pytest.fixture
-def bilingual_triples(bilingual_raws, bilingual_vocab) -> list[Triple]:
+def bilingual_triples(bilingual_raws, bilingual_vocab) -> list[tuple[int, int, int]]:
     return intern(bilingual_raws, bilingual_vocab).triples
 
 

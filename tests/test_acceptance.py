@@ -18,7 +18,6 @@ from kgeu import (
     ModelConfig,
     RawTriple,
     TrainConfig,
-    Triple,
     TripleIndex,
     build_vocabulary,
     candidate_set,

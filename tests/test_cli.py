@@ -364,11 +364,11 @@ def test_predict_top_k_matches_score_batch_order(capsys, trained_archive, direct
     s, o = np.full(c, vocab.entity_id("ex:A")), np.full(c, vocab.entity_id("ex:Spain"))
     p = np.full(c, vocab.property_id("ex:birthplace"))
     if direction == "tail":
-        scores = score_batch(table, s, p, candidates)
+        scores = score_batch(table, np.stack([s, p, candidates], axis=1))
     elif direction == "head":
-        scores = score_batch(table, candidates, p, o)
+        scores = score_batch(table, np.stack([candidates, p, o], axis=1))
     else:
-        scores = score_batch(table, s, candidates, o)
+        scores = score_batch(table, np.stack([s, candidates, o], axis=1))
     order = np.argsort(-scores, kind="stable")[:4]
     expected = "".join(f"{vocab.term(int(candidates[i]))}\t{scores[i]:.6f}\n" for i in order)
     code, stdout, _ = run(capsys, "predict", "--direction", direction, *PREDICT_QUERY[direction], "-k", "4",

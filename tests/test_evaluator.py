@@ -10,7 +10,6 @@ from kgeu import (
     ModelConfig,
     RawTriple,
     TrainConfig,
-    Triple,
     TripleIndex,
     TrueAnswerNotCandidateError,
     build_vocabulary,
@@ -36,14 +35,15 @@ from conftest import oracle_score, random_graph, rank, reference_rank
 # ---------------------------------------------------------------------------
 
 def oracle_rank(table, all_triples, t, direction, candidates, filtered):
-    true_id = t.s if direction == "head" else t.o
+    s, p, o = t
+    true_id = s if direction == "head" else o
     true_score = oracle_score(table, *t)
     better_or_tied = 0
     for c in candidates:
         c = int(c)
         if c == true_id:
             continue
-        cand = (c, t.p, t.o) if direction == "head" else (t.s, t.p, c)
+        cand = (c, p, o) if direction == "head" else (s, p, c)
         if filtered and cand in all_triples:  # linear scan, no index
             continue
         if oracle_score(table, *cand) >= true_score:
@@ -124,14 +124,14 @@ def scores_table(values):
 def test_rank_strictly_best_is_one():
     table = scores_table([0.5, 1.0, 2.0, 3.0, 4.0])
     candidates = np.arange(5, dtype=np.int64)
-    r = rank(table, Triple(5, 6, 0), "tail", candidates, TripleIndex(), filtered=False)
+    r = rank(table, (5, 6, 0), "tail", candidates, TripleIndex(), filtered=False)
     assert r == 1
 
 
 def test_rank_third_best_no_collisions():
     table = scores_table([0.1, 0.2, 0.3, 0.4, 0.5])
     candidates = np.arange(5, dtype=np.int64)
-    t = Triple(5, 6, 2)
+    t = (5, 6, 2)
     index = TripleIndex([t])
     assert rank(table, t, "tail", candidates, index, filtered=False) == 3
     assert rank(table, t, "tail", candidates, index, filtered=True) == 3
@@ -140,8 +140,8 @@ def test_rank_third_best_no_collisions():
 def test_rank_filtered_removes_known_better_candidates():
     table = scores_table([0.1, 0.2, 0.3, 0.4, 0.5])
     candidates = np.arange(5, dtype=np.int64)
-    t = Triple(5, 6, 2)
-    index = TripleIndex([t, Triple(5, 6, 0), Triple(5, 6, 1)])
+    t = (5, 6, 2)
+    index = TripleIndex([t, (5, 6, 0), (5, 6, 1)])
     assert rank(table, t, "tail", candidates, index, filtered=False) == 3
     assert rank(table, t, "tail", candidates, index, filtered=True) == 1
 
@@ -149,7 +149,7 @@ def test_rank_filtered_removes_known_better_candidates():
 def test_rank_true_answer_missing():
     table = scores_table([0.1, 0.2])
     with pytest.raises(TrueAnswerNotCandidateError):
-        rank(table, Triple(2, 3, 2), "tail", np.array([0, 1]), TripleIndex(), filtered=False)
+        rank(table, (2, 3, 2), "tail", np.array([0, 1]), TripleIndex(), filtered=False)
 
 
 def test_constant_scorer_gets_worst_case_rank(bilingual_vocab, bilingual_triples):
@@ -165,9 +165,9 @@ def test_exact_l1_screen_decides_ties_without_rescoring(bilingual_vocab, bilingu
     table = EmbeddingTable(cfg, np.zeros((len(bilingual_vocab), 4)), None, bilingual_vocab.property_ids)
     scored = []
 
-    def counting_score_batch(table, s, p, o):
-        scored.append(len(s))
-        return score_batch(table, s, p, o)
+    def counting_score_batch(table, ids):
+        scored.append(len(ids))
+        return score_batch(table, ids)
 
     monkeypatch.setattr("kgeu.evaluator.score_batch", counting_score_batch)
     report = evaluate(table, bilingual_triples, bilingual_vocab, TripleIndex(bilingual_triples), EvalConfig())
@@ -251,13 +251,14 @@ def test_evaluate_ranks_equal_score_batch_ranks_under_ties(model):
     raw, filt, ties = [], [], 0
     for direction in ("head", "tail"):
         for t in triples:
+            s, p, o = t
             if direction == "head":
-                scores = score_batch(table, candidates, np.full(c, t.p), np.full(c, t.o))
-                known = {x.s for x in triples if (x.p, x.o) == (t.p, t.o)} - {t.s}
+                scores = score_batch(table, np.stack([candidates, np.full(c, p), np.full(c, o)], axis=1))
+                known = {xs for xs, xp, xo in triples if (xp, xo) == (p, o)} - {s}
             else:
-                scores = score_batch(table, np.full(c, t.s), np.full(c, t.p), candidates)
-                known = {x.o for x in triples if (x.s, x.p) == (t.s, t.p)} - {t.o}
-            true_pos = int(np.searchsorted(candidates, t.s if direction == "head" else t.o))
+                scores = score_batch(table, np.stack([np.full(c, s), np.full(c, p), candidates], axis=1))
+                known = {xo for xs, xp, xo in triples if (xs, xp) == (s, p)} - {o}
+            true_pos = int(np.searchsorted(candidates, s if direction == "head" else o))
             ties += np.count_nonzero(scores == scores[true_pos]) - 1
             raw.append(reference_rank(scores, true_pos))
             filt.append(reference_rank(scores, true_pos, np.isin(candidates, list(known))))
@@ -316,13 +317,14 @@ def test_screened_ranks_equal_score_batch_ranks_on_adversarial_tables(model, nor
         assert raw.shape == filt.shape == (len(directions), n)
         for k, direction in enumerate(directions):
             for i, t in enumerate(chunk):
+                s, p, o = t
                 if direction == "head":
-                    scores = score_batch(table, candidates, np.full(c, t.p), np.full(c, t.o))
-                    known = {x.s for x in triples if (x.p, x.o) == (t.p, t.o)} - {t.s}
+                    scores = score_batch(table, np.stack([candidates, np.full(c, p), np.full(c, o)], axis=1))
+                    known = {xs for xs, xp, xo in triples if (xp, xo) == (p, o)} - {s}
                 else:
-                    scores = score_batch(table, np.full(c, t.s), np.full(c, t.p), candidates)
-                    known = {x.o for x in triples if (x.s, x.p) == (t.s, t.p)} - {t.o}
-                true_pos = int(np.searchsorted(candidates, t.s if direction == "head" else t.o))
+                    scores = score_batch(table, np.stack([np.full(c, s), np.full(c, p), candidates], axis=1))
+                    known = {xo for xs, xp, xo in triples if (xs, xp) == (s, p)} - {o}
+                true_pos = int(np.searchsorted(candidates, s if direction == "head" else o))
                 ties += np.count_nonzero(np.isfinite(scores) & (scores == scores[true_pos])) - 1
                 assert raw[k, i] == reference_rank(scores, true_pos)
                 assert filt[k, i] == reference_rank(scores, true_pos, np.isin(candidates, list(known)))
@@ -341,7 +343,7 @@ def test_screen_rescores_where_the_bitwise_path_overflows():
     table.node_vectors[[s, r, o, x]] = [[1.0, 0.0], [1e300, 1e300], [1e-300, 1e-300], [2.0 ** 31, 2.0 ** 31]]
     candidates = candidate_set(vocab)
     c = len(candidates)
-    scores = score_batch(table, candidates, np.full(c, r), np.full(c, o))
+    scores = score_batch(table, np.stack([candidates, np.full(c, r), np.full(c, o)], axis=1))
     true_pos = int(np.searchsorted(candidates, s))
     raw, _ = _chunk_ranks(CandidateScreen(table, candidates), np.array([[s, r, o]] * 4), ("head",), TripleIndex())
     assert np.isnan(scores[np.searchsorted(candidates, x)])
@@ -355,13 +357,14 @@ def score_batch_mean_ranks(table, triples, candidates):
     raw, filt = [], []
     for direction in ("head", "tail"):
         for t in triples:
+            s, p, o = t
             if direction == "head":
-                scores = score_batch(table, candidates, np.full(c, t.p), np.full(c, t.o))
-                known = {x.s for x in triples if (x.p, x.o) == (t.p, t.o)} - {t.s}
+                scores = score_batch(table, np.stack([candidates, np.full(c, p), np.full(c, o)], axis=1))
+                known = {xs for xs, xp, xo in triples if (xp, xo) == (p, o)} - {s}
             else:
-                scores = score_batch(table, np.full(c, t.s), np.full(c, t.p), candidates)
-                known = {x.o for x in triples if (x.s, x.p) == (t.s, t.p)} - {t.o}
-            true_pos = int(np.searchsorted(candidates, t.s if direction == "head" else t.o))
+                scores = score_batch(table, np.stack([np.full(c, s), np.full(c, p), candidates], axis=1))
+                known = {xo for xs, xp, xo in triples if (xs, xp) == (s, p)} - {o}
+            true_pos = int(np.searchsorted(candidates, s if direction == "head" else o))
             raw.append(reference_rank(scores, true_pos))
             filt.append(reference_rank(scores, true_pos, np.isin(candidates, list(known))))
     return float(np.mean(raw)), float(np.mean(filt))

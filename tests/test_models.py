@@ -6,7 +6,6 @@ from kgeu import (
     InvalidConfigError,
     ModelConfig,
     RawTriple,
-    Triple,
     build_vocabulary,
     init_embeddings,
     intern,
@@ -75,7 +74,8 @@ def random_instance(rng, model, dim=8):
     pos = triples[int(rng.integers(len(triples)))]
     ent = vocab.entity_ids
     repl = int(ent[rng.integers(len(ent))])
-    neg = Triple(repl, pos.p, pos.o) if rng.random() < 0.5 else Triple(pos.s, pos.p, repl)
+    s, p, o = pos
+    neg = (repl, p, o) if rng.random() < 0.5 else (s, p, repl)
     return table, vocab, pos, neg
 
 
@@ -170,7 +170,7 @@ def test_transe_exact_translation_scores_zero():
     table.node_vectors[0] = (1, 0)   # s
     table.node_vectors[3] = (0, 1)   # p
     table.node_vectors[1] = (1, 1)   # o
-    assert score(table, Triple(0, 3, 1)) == 0.0
+    assert score(table, (0, 3, 1)) == 0.0
 
 
 def test_transe_l1_l2_arithmetic():
@@ -179,7 +179,7 @@ def test_transe_l1_l2_arithmetic():
         table.node_vectors[0] = (1, 2)
         table.node_vectors[3] = (3, -1)
         table.node_vectors[1] = (0, 0)
-        assert score(table, Triple(0, 3, 1)) == pytest.approx(expected, abs=1e-12)
+        assert score(table, (0, 3, 1)) == pytest.approx(expected, abs=1e-12)
 
 
 def test_transh_projection_kills_normal_component():
@@ -188,7 +188,7 @@ def test_transh_projection_kills_normal_component():
     table.node_vectors[0] = (5, 1)
     table.node_vectors[1] = (9, 1)
     table.node_vectors[3] = (0, 0)
-    assert score(table, Triple(0, 3, 1)) == pytest.approx(0.0, abs=1e-12)
+    assert score(table, (0, 3, 1)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_transh_arithmetic():
@@ -197,7 +197,7 @@ def test_transh_arithmetic():
     table.node_vectors[0] = (1, 1)
     table.node_vectors[3] = (1, 0)
     table.node_vectors[1] = (2, 5)
-    assert score(table, Triple(0, 3, 1)) == pytest.approx(0.0, abs=1e-12)
+    assert score(table, (0, 3, 1)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_transh_self_loop_zero_translation():
@@ -205,7 +205,7 @@ def test_transh_self_loop_zero_translation():
     table.relation_normals[0] = np.array([0.6, 0.8])
     table.node_vectors[0] = (0.3, -0.7)
     table.node_vectors[3] = (0, 0)
-    assert score(table, Triple(0, 3, 0)) == pytest.approx(0.0, abs=1e-12)
+    assert score(table, (0, 3, 0)) == pytest.approx(0.0, abs=1e-12)
 
 
 def complex_row(values):
@@ -219,7 +219,7 @@ def test_complex_real_identity():
     table.node_vectors[0] = complex_row([1 + 0j])
     table.node_vectors[3] = complex_row([1 + 0j])
     table.node_vectors[1] = complex_row([1 + 0j])
-    assert score(table, Triple(0, 3, 1)) == pytest.approx(1.0)
+    assert score(table, (0, 3, 1)) == pytest.approx(1.0)
 
 
 def test_complex_imaginary_product():
@@ -227,7 +227,7 @@ def test_complex_imaginary_product():
     table.node_vectors[0] = complex_row([1j])
     table.node_vectors[3] = complex_row([1j])
     table.node_vectors[1] = complex_row([1 + 0j])
-    assert score(table, Triple(0, 3, 1)) == pytest.approx(-1.0)
+    assert score(table, (0, 3, 1)) == pytest.approx(-1.0)
 
 
 def test_complex_antisymmetric_with_imaginary_relation():
@@ -235,7 +235,7 @@ def test_complex_antisymmetric_with_imaginary_relation():
     table.node_vectors[0] = complex_row([1 + 0j])
     table.node_vectors[1] = complex_row([1j])
     table.node_vectors[4] = complex_row([0.7j])
-    assert score(table, Triple(0, 4, 1)) == pytest.approx(-score(table, Triple(1, 4, 0)))
+    assert score(table, (0, 4, 1)) == pytest.approx(-score(table, (1, 4, 0)))
 
 
 def test_complex_symmetric_with_real_relation():
@@ -243,7 +243,7 @@ def test_complex_symmetric_with_real_relation():
     table = make_table("complex", dim=5, n_ids=6, n_props=1)
     table.node_vectors[:] = rng.normal(size=table.node_vectors.shape)
     table.node_vectors[5, 5:] = 0.0  # relation row purely real
-    assert score(table, Triple(0, 5, 1)) == pytest.approx(score(table, Triple(1, 5, 0)))
+    assert score(table, (0, 5, 1)) == pytest.approx(score(table, (1, 5, 0)))
 
 
 def test_transe_translation_invariance():
@@ -251,11 +251,11 @@ def test_transe_translation_invariance():
     for norm in ("l1", "l2"):
         table = make_table("transe", dim=6, norm=norm, n_ids=4)
         table.node_vectors[:] = rng.normal(size=table.node_vectors.shape)
-        base = score(table, Triple(0, 3, 1))
+        base = score(table, (0, 3, 1))
         c = rng.normal(size=6)
         table.node_vectors[0] += c
         table.node_vectors[1] += c
-        assert score(table, Triple(0, 3, 1)) == pytest.approx(base, abs=1e-9)
+        assert score(table, (0, 3, 1)) == pytest.approx(base, abs=1e-9)
 
 
 def test_transh_invariant_to_normal_components():
@@ -264,10 +264,10 @@ def test_transh_invariant_to_normal_components():
     table.node_vectors[:] = rng.normal(size=table.node_vectors.shape)
     w = rng.normal(size=6)
     table.relation_normals[0] = w / np.linalg.norm(w)
-    base = score(table, Triple(0, 3, 1))
+    base = score(table, (0, 3, 1))
     table.node_vectors[0] += 2.5 * table.relation_normals[0]
     table.node_vectors[1] -= 1.3 * table.relation_normals[0]
-    assert score(table, Triple(0, 3, 1)) == pytest.approx(base, abs=1e-9)
+    assert score(table, (0, 3, 1)) == pytest.approx(base, abs=1e-9)
 
 
 def test_score_batch_matches_single():
@@ -275,7 +275,7 @@ def test_score_batch_matches_single():
     for model in ("transe", "transh", "complex"):
         table, vocab, pos, neg = random_instance(rng, model)
         ids = np.array([pos, neg])
-        batched = score_batch(table, ids[:, 0], ids[:, 1], ids[:, 2])
+        batched = score_batch(table, ids)
         assert batched[0] == pytest.approx(score(table, pos), abs=1e-12)
         assert batched[1] == pytest.approx(score(table, neg), abs=1e-12)
 
@@ -307,7 +307,7 @@ def assert_bitwise_score_batch(table, queries, direction, candidates):
     slot = DIRECTIONS.index(direction)
     for row, query in zip(got, queries):
         triples = np.insert(np.tile(query, (len(candidates), 1)), slot, candidates, axis=1)
-        want = score_batch(table, *triples.T)
+        want = score_batch(table, triples)
         assert np.array_equal(row.view(np.int64), want.view(np.int64))
     return got
 
@@ -356,14 +356,14 @@ def test_inactive_hinge_zero_gradient():
     table.node_vectors[4] = (0, 1)
     table.node_vectors[1] = (1, 1)
     table.node_vectors[2] = (9, 9)
-    grad = gradient(table, Triple(0, 4, 1), Triple(0, 4, 2))
+    grad = gradient(table, (0, 4, 1), (0, 4, 2))
     assert grad.max_abs() == 0.0
 
 
 def test_gradient_touches_shared_relation_row(bilingual_vocab, bilingual_triples):
     table = init_embeddings(ModelConfig(model="transe", dim=4), bilingual_vocab, np.random.default_rng(10))
     prop_triple = bilingual_triples[2]  # the statement about the two relations
-    neg = Triple(bilingual_triples[0].s, prop_triple.p, prop_triple.o)
+    neg = (bilingual_triples[0][0], prop_triple[1], prop_triple[2])
     grad = gradient(table, prop_triple, neg)
     assert bilingual_vocab.property_id("ex:birthplace") in grad.node_ids
     assert bilingual_vocab.property_id("ex:shusshin") in grad.node_ids
@@ -381,7 +381,7 @@ def test_shared_row_accumulates_both_roles():
     table.node_vectors[:] = rng.normal(0.0, 0.8, table.node_vectors.shape)
     triples = intern(raws, vocab).triples
     pos = triples[0]
-    neg = Triple(pos.s, pos.p, triples[1].o)
+    neg = (pos[0], pos[1], triples[1][2])
     grad, node_fd, _ = fd_gradient(table, pos, neg)
     assert max_rel_err(grad.node_grads, node_fd) < 1e-6
 
@@ -430,12 +430,12 @@ def test_batch_gradient_equals_sum_of_pairs():
     rng = np.random.default_rng(13)
     for model in ("transe", "transh", "complex"):
         table, vocab, _, _ = random_instance(rng, model)
-        triples = [Triple(0, 1, 2), Triple(3, 1, 0), Triple(0, 4, 2)]
+        triples = [(0, 1, 2), (3, 1, 0), (0, 4, 2)]
         ent = vocab.entity_ids
         pairs = []
         for t in triples:
             repl = int(ent[rng.integers(len(ent))])
-            pairs.append((t, Triple(repl, t.p, t.o)))
+            pairs.append((t, (repl, t[1], t[2])))
         pos = np.array([p for p, _ in pairs])
         neg = np.array([n for _, n in pairs])
         batch_grad, batch_losses = pair_grad_batch(table, pos, neg)

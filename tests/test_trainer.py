@@ -4,15 +4,17 @@ import pytest
 from kgeu import (
     AdamState,
     EmptyDatasetError,
+    EvalConfig,
     InvalidConfigError,
     ModelConfig,
     NonFiniteUpdateError,
     RawTriple,
-    Triple,
     TripleIndex,
     TrainConfig,
     adam_step,
     build_vocabulary,
+    dataset_stats,
+    evaluate,
     init_embeddings,
     intern,
     negative_samples,
@@ -22,6 +24,7 @@ from kgeu import (
 from kgeu.models import SparseGrad
 from kgeu.toy import ToySpec, generate_toy
 from kgeu.trainer import MAX_REJECTION_ATTEMPTS
+from conftest import random_graph
 
 
 def small_config(**kw):
@@ -45,7 +48,7 @@ def test_negative_sample_one_candidate_space():
     neg, capped = negative_samples(np.array([t] * 50), vocab.entity_ids, index, rng)
     assert capped == 0
     for row in neg.tolist():
-        assert tuple(row) in (Triple(b, t.p, t.o), Triple(t.s, t.p, a))
+        assert tuple(row) in ((b, t[1], t[2]), (t[0], t[1], a))
 
 
 def test_negative_sample_never_touches_predicate(bilingual_vocab, bilingual_triples):
@@ -68,7 +71,7 @@ def test_negative_sample_head_tail_balance(bilingual_vocab, bilingual_triples):
     t = bilingual_triples[0]
     n = 100_000
     neg, _ = negative_samples(np.array([t] * n), bilingual_vocab.entity_ids, index, rng)
-    heads = np.count_nonzero(neg[:, 0] != t.s)
+    heads = np.count_nonzero(neg[:, 0] != t[0])
     assert abs(heads / n - 0.5) < 0.01
 
 
@@ -276,6 +279,33 @@ def test_train_same_seed_same_archive_bytes(tmp_path, bilingual_vocab, bilingual
     for path in paths:
         save(train(bilingual_triples, bilingual_vocab, cfg).table, bilingual_vocab, cfg, path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_id_arrays_and_tuple_lists_give_equal_results(tmp_path):
+    # every function taking id triples: an (n, 3) array is the same input
+    # as its list of int tuples, and an empty (0, 3) array is an empty dataset
+    raws = random_graph(np.random.default_rng(5), n_entities=10, n_relations=3, n_triples=30, property_nodes=True)
+    vocab = build_vocabulary(raws, unify=True)
+    triples = intern(raws, vocab).triples
+    arr = np.array(triples)
+    cfg = small_config(model=ModelConfig(model="transh", dim=8), epochs=5, batch_size=7)
+    paths = [tmp_path / "list.kgeu", tmp_path / "array.kgeu"]
+    indexes, reports = [], []
+    for source, path in zip((triples, arr), paths):
+        index = TripleIndex(source)
+        result = train(source, vocab, cfg)
+        save(result.table, vocab, cfg, path)
+        indexes.append(index)
+        reports.append(evaluate(result.table, source, vocab, index, EvalConfig()))
+    assert np.array_equal(indexes[0]._spo, indexes[1]._spo) and np.array_equal(indexes[0]._pos, indexes[1]._pos)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert reports[0] == reports[1]
+    assert dataset_stats(vocab, triples) == dataset_stats(vocab, arr)
+    empty = np.zeros((0, 3), dtype=np.int64)
+    with pytest.raises(EmptyDatasetError):
+        train(empty, vocab, cfg)
+    with pytest.raises(EmptyDatasetError):
+        evaluate(result.table, empty, vocab, indexes[0], EvalConfig())
 
 
 def test_train_seed_changes_result(bilingual_vocab, bilingual_triples):

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,6 @@ from kgeu import (
     FormatError,
     IndexOverflowError,
     RawTriple,
-    Triple,
     TripleIndex,
     UnknownTermError,
     build_vocabulary,
@@ -101,7 +102,7 @@ def test_reintern_identity(raws, unify):
     vocab = build_vocabulary(raws, unify=unify)
     triples = intern(raws, vocab).triples
     for t in triples:
-        again = intern([RawTriple(vocab.term(t.s), vocab.term(t.p), vocab.term(t.o))], vocab).triples[0]
+        again = intern([RawTriple(*map(vocab.term, t))], vocab).triples[0]
         assert again == t
 
 
@@ -118,10 +119,19 @@ def test_intern_equals_reference(raws, unify):
     try:
         result = intern(iter(raws), vocab)
         got = (result.triples, result.duplicates)
-        assert all(type(t) is Triple for t in result.triples)
+        assert all(type(t) is tuple for t in result.triples)
     except UnknownTermError as e:
         got = e.terms
     assert got == want
+
+
+def test_intern_returns_plain_int_tuples_the_collector_untracks():
+    raws = random_graph(np.random.default_rng(4), n_entities=12, n_relations=4, n_triples=60, property_nodes=True)
+    triples = intern(raws + raws[:5], build_vocabulary(raws, unify=True)).triples
+    assert triples
+    assert all(type(t) is tuple and len(t) == 3 and all(type(i) is int for i in t) for t in triples)
+    gc.collect()
+    assert not any(gc.is_tracked(t) for t in triples)
 
 
 def test_intern_self_consistency(bilingual_raws, bilingual_vocab):
@@ -154,8 +164,8 @@ def test_role_lookup_is_role_specific(bilingual_raws):
 
 def test_triple_index_contains(bilingual_triples):
     index = TripleIndex(bilingual_triples)
-    assert bilingual_triples[0] in index
-    assert Triple(0, 1, 3) not in index
+    assert index.contains(np.array([bilingual_triples[0]]))[0]
+    assert not index.contains(np.array([(0, 1, 3)]))[0]
     assert len(index) == 3
 
 
@@ -165,11 +175,11 @@ def test_triple_index_matches_linear_scan():
     vocab = build_vocabulary(raws, unify=True)
     triples = intern(raws, vocab).triples
     index = TripleIndex(triples)
-    keys_sp = sorted({(t.s, t.p) for t in triples})
-    keys_po = sorted({(t.p, t.o) for t in triples})
+    keys_sp = sorted({(s, p) for s, p, o in triples})
+    keys_po = sorted({(p, o) for s, p, o in triples})
     for direction, pairs, want in (
-        ("tail", keys_sp, lambda s, p: {t.o for t in triples if (t.s, t.p) == (s, p)}),
-        ("head", keys_po, lambda p, o: {t.s for t in triples if (t.p, t.o) == (p, o)}),
+        ("tail", keys_sp, lambda s, p: {to for ts, tp, to in triples if (ts, tp) == (s, p)}),
+        ("head", keys_po, lambda p, o: {ts for ts, tp, to in triples if (tp, to) == (p, o)}),
     ):
         rows, ids = index.known(pairs + [(999, 999)], direction)
         for q, pair in enumerate(pairs):
@@ -189,7 +199,7 @@ def test_triple_index_agrees_with_set_oracle(triples, probes):
     assert len(index) == len(known)
     probes = np.array(probes, dtype=np.int64)
     assert index.contains(probes).tolist() == [tuple(t) in known for t in probes.tolist()]
-    assert all((tuple(t) in index) == (tuple(t) in known) for t in probes.tolist())
+    assert all(index.contains(np.array([t]))[0] == (tuple(t) in known) for t in probes.tolist())
     for direction, cols, out in (("tail", [0, 1], 2), ("head", [1, 2], 0)):
         rows, ids = index.known(probes[:, [cols[0], cols[1]]], direction)
         assert np.all(np.diff(rows) >= 0)
@@ -254,7 +264,7 @@ def test_dataset_stats_property_node_count_equals_per_triple_loop(unify, seed):
                         property_nodes=True)
     vocab = build_vocabulary(raws, unify=unify)
     triples = intern(raws, vocab).triples
-    want = sum(vocab.has_property(vocab.term(t.s)) or vocab.has_property(vocab.term(t.o)) for t in triples)
+    want = sum(vocab.has_property(vocab.term(s)) or vocab.has_property(vocab.term(o)) for s, _, o in triples)
     assert want > 0
     assert dataset_stats(vocab, triples).property_node_triples == want
 

@@ -10,6 +10,8 @@ generated graphs (the default `gen-toy` graph and a wider one with more
 candidates and more test triples than one evaluation chunk holds):
 
 * `gen-toy` data files and `ingest --dump` vocabularies (unified and not),
+* `ingest` of the training file given twice, whose every triple is then a
+  duplicate (the `duplicates=` count),
 * 12 archives: TransE, TransH and ComplEx x `--unify`/`--no-unify` x L1/L2,
   and a 3-seed run,
 * `eval` of every archive under both candidate policies (stdout and
@@ -65,6 +67,7 @@ def matrix(out: Path, kgeu) -> None:
         kgeu("gen-toy", *spec, "--seed", SEED, "--out", data)
         for unify in ("--unify", "--no-unify"):
             kgeu("ingest", unify, "--dump", f"{graph}/vocab{unify}.txt", train, test)
+        kgeu("ingest", train, train)
         archives = []
         for model in ("transe", "transh", "complex"):
             for unify in ("--unify", "--no-unify"):
