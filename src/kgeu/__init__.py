@@ -21,7 +21,7 @@ from .errors import (
     TrueAnswerNotCandidateError,
     UnknownTermError,
 )
-from .ingest import RawTriple, drop_literals, parse_ntriples, parse_tsv, write_ntriples, write_tsv
+from .ingest import RawTriple, TermColumns, drop_literals, parse_ntriples, parse_tsv, write_ntriples, write_tsv
 from .vocab import (
     DatasetStats,
     TripleIndex,

@@ -28,7 +28,7 @@ from .evaluator import (
     render_report_table,
     summarize_reports,
 )
-from .ingest import drop_literals, parse_ntriples, parse_tsv, write_tsv
+from .ingest import TermColumns, drop_literals, parse_ntriples, parse_tsv, write_tsv
 from .models import DIRECTIONS, MODELS, NORMS, SHARE_MODES, ModelConfig, score_candidates
 from .store import load, save
 from .toy import ToySpec, generate_toy
@@ -75,8 +75,8 @@ def _worker_count(n_jobs: int) -> int:
     return min(workers, n_jobs)
 
 
-def _load_raw(paths: list[Path], fmt: str, keep_literals: bool):
-    raws = []
+def _load_raw(paths: list[Path], fmt: str, keep_literals: bool) -> tuple[TermColumns, int]:
+    raws = TermColumns()
     dropped = 0
     parse = parse_ntriples if fmt == "nt" else parse_tsv
     for path in paths:
@@ -88,7 +88,7 @@ def _load_raw(paths: list[Path], fmt: str, keep_literals: bool):
         if not keep_literals:
             parsed, n = drop_literals(parsed)
             dropped += n
-        raws.extend(parsed)
+        raws += parsed
     return raws, dropped
 
 
@@ -194,7 +194,7 @@ def cmd_eval(args) -> int:
     test_raws, _ = _load_raw([args.test], args.format, keep_literals=False)
     config = EvalConfig(candidate_policy=args.candidates, hits_k=args.hits_k)
 
-    train_raws = _load_raw([args.train], args.format, keep_literals=False)[0] if args.train else []
+    train_raws = _load_raw([args.train], args.format, keep_literals=False)[0] if args.train else TermColumns()
 
     rows = []
     reports = []

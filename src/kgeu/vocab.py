@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import EmptyDatasetError, FormatError, IndexOverflowError, InvalidConfigError, UnknownTermError
-from .ingest import RawTriple
+from .ingest import RawTriple, TermColumns, as_columns
 
 
 # (n, 3) ids: an int array or a sequence of int 3-tuples
@@ -29,12 +29,18 @@ IdTriples = np.ndarray | Sequence[tuple[int, int, int]]
 
 
 def id_array(triples: Iterable[Sequence[int]] | np.ndarray) -> np.ndarray:
-    """(n, 3) int64 ids of a triple sequence; an ndarray is used as is.
+    """(n, 3) int64 ids of a triple sequence; an integer ndarray is used as is.
 
-    Rows are flattened into one np.fromiter pass; a row that is not three
-    ints raises ValueError (or numpy's TypeError/OverflowError for an entry).
+    A sequence's rows are flattened into one np.fromiter pass; a row that is
+    not three ints raises ValueError (or numpy's TypeError/OverflowError for
+    an entry). Its entries are not type-checked one by one: over the 542k
+    interned triples of an FB15K-sized graph that would cost 0.07-0.11 s.
+    An ndarray of any dtype but a signed or unsigned integer one raises
+    ValueError instead of being truncated to ids.
     """
     if isinstance(triples, np.ndarray):
+        if triples.dtype.kind not in "iu":
+            raise ValueError(f"triple ids must be integers, got an array of dtype {triples.dtype}")
         return triples.astype(np.int64, copy=False).reshape(-1, 3)
     rows = triples if isinstance(triples, (list, tuple)) else list(triples)
     # no row longer than 3, and count= makes fromiter reject a shorter one
@@ -125,15 +131,16 @@ class Vocabulary:
         return out
 
 
-def build_vocabulary(triples: Sequence[RawTriple], unify: bool) -> Vocabulary:
+def build_vocabulary(triples: TermColumns | Sequence[RawTriple], unify: bool) -> Vocabulary:
     """Assign ids to every term of `triples` in first-occurrence order."""
+    triples = as_columns(triples)
     if not triples:
         raise EmptyDatasetError("cannot build a vocabulary from zero triples")
     vocab = Vocabulary(unify)
-    for t in triples:
-        vocab._add(t.subject, "E")
-        vocab._add(t.predicate, "P")
-        vocab._add(t.object, "E")
+    for s, p, o in zip(triples.subjects, triples.predicates, triples.objects):
+        vocab._add(s, "E")
+        vocab._add(p, "P")
+        vocab._add(o, "E")
     vocab._freeze()
     return vocab
 
@@ -143,31 +150,24 @@ class InternResult(NamedTuple):
     duplicates: int
 
 
-def intern(triples: Iterable[RawTriple], vocab: Vocabulary) -> InternResult:
-    """Map raw triples to (s, p, o) id tuples, dropping exact duplicates.
+def intern(triples: TermColumns | Iterable[RawTriple], vocab: Vocabulary) -> InternResult:
+    """Map triples to (s, p, o) id tuples, dropping exact duplicates.
 
     Output preserves first-occurrence input order. Each term is looked up
-    in the role it is used in. Terms the vocabulary lacks in that role
-    (e.g. test-set terms that never occurred in training) are collected
-    over the whole input and raised, sorted, as one UnknownTermError.
+    in the role it is used in, one column at a time. Terms the vocabulary
+    lacks in that role (e.g. test-set terms that never occurred in
+    training) are collected over the whole input and raised, sorted, as
+    one UnknownTermError.
     """
-    entity, prop = vocab._entity_id.get, vocab._property_id.get
-    seen: set[tuple[int, int, int]] = set()
-    out: list[tuple[int, int, int]] = []
-    missing: set[str] = set()
-    duplicates = 0
-    for t in triples:
-        ids = (entity(t[0]), prop(t[1]), entity(t[2]))
-        if None in ids:
-            missing.update(term for term, id_ in zip(t, ids) if id_ is None)
-        elif ids in seen:
-            duplicates += 1
-        else:
-            seen.add(ids)
-            out.append(ids)
-    if missing:
-        raise UnknownTermError(missing)
-    return InternResult(out, duplicates)
+    columns = as_columns(triples)
+    roles = ((columns.subjects, vocab._entity_id), (columns.predicates, vocab._property_id),
+             (columns.objects, vocab._entity_id))
+    try:
+        ids = [list(map(table.__getitem__, column)) for column, table in roles]
+    except KeyError:  # at the first missing term; name them all
+        raise UnknownTermError({term for column, table in roles for term in column if term not in table}) from None
+    unique = list(dict.fromkeys(zip(*ids)))
+    return InternResult(unique, len(columns) - len(unique))
 
 
 # Largest id count whose index keys, n**3, fit in int64.

@@ -4,7 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from kgeu import MalformedLineError, RawTriple, UnknownTermError, build_vocabulary, intern, pair_grad_batch, score_batch
+from kgeu import (
+    MalformedLineError,
+    RawTriple,
+    TermColumns,
+    UnknownTermError,
+    build_vocabulary,
+    intern,
+    pair_grad_batch,
+    score_batch,
+)
 from kgeu.evaluator import _chunk_ranks
 from kgeu.models import CandidateScreen, _pair_reg_ids, _sigmoid
 
@@ -20,6 +29,11 @@ def mini_bilingual(entity_links: bool = False) -> list[RawTriple]:
     if entity_links:
         triples.append(RawTriple("ex:Spain", "ex:honyaku", "ex:Supein"))
     return triples
+
+
+def rows(columns: TermColumns) -> list[RawTriple]:
+    """The RawTriple rows of parsed term columns, to compare with row oracles."""
+    return list(map(RawTriple._make, zip(columns.subjects, columns.predicates, columns.objects, columns.is_literal)))
 
 
 def reference_parse_tsv(text: str) -> list[RawTriple]:

@@ -1,10 +1,21 @@
 import io
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kgeu import MalformedLineError, RawTriple, drop_literals, parse_ntriples, parse_tsv, write_ntriples, write_tsv
-from conftest import reference_parse_tsv
+from kgeu import (
+    MalformedLineError,
+    RawTriple,
+    TermColumns,
+    drop_literals,
+    ingest,
+    parse_ntriples,
+    parse_tsv,
+    write_ntriples,
+    write_tsv,
+)
+from conftest import reference_parse_tsv, rows
 
 NT_SAMPLE = """\
 # birthplace example
@@ -16,7 +27,7 @@ NT_SAMPLE = """\
 
 
 def test_parse_ntriples_statements():
-    triples = parse_ntriples(NT_SAMPLE)
+    triples = rows(parse_ntriples(NT_SAMPLE))
     assert triples[0] == RawTriple("ex:A", "ex:birthplace", "ex:Spain")
     assert triples[1] == RawTriple("exp:p1", "rdf:type", "exp:T1")
     assert triples[2] == RawTriple("ex:B", "ex:comment", "a literal", is_literal=True)
@@ -24,8 +35,8 @@ def test_parse_ntriples_statements():
 
 
 def test_parse_ntriples_empty_input():
-    assert parse_ntriples("") == []
-    assert parse_ntriples("# only a comment\n\n") == []
+    assert rows(parse_ntriples("")) == []
+    assert rows(parse_ntriples("# only a comment\n\n")) == []
 
 
 def test_parse_ntriples_accepts_stream():
@@ -51,7 +62,7 @@ def test_parse_ntriples_malformed(line):
 def test_parse_tsv_basic():
     # whitespace-only lines are blank, even when they hold three fields
     text = "/m/01\t/film/genre\t/m/02\n\n \t \t \n\x85\t\u2028\t\x0c\r\ne0\tr0\te1\n"
-    triples = parse_tsv(text)
+    triples = rows(parse_tsv(text))
     assert triples == [
         RawTriple("/m/01", "/film/genre", "/m/02"),
         RawTriple("e0", "r0", "e1"),
@@ -76,7 +87,7 @@ def test_drop_literals():
     triples = parse_ntriples(NT_SAMPLE)
     kept, dropped = drop_literals(triples)
     assert dropped == 1
-    assert all(not t.is_literal for t in kept)
+    assert all(not t.is_literal for t in rows(kept))
     assert len(kept) == 2
 
 
@@ -95,7 +106,7 @@ triples_strategy = st.lists(st.builds(lambda s, p, o: RawTriple(s, p, o), token,
 
 @given(triples_strategy)
 def test_tsv_round_trip(triples):
-    assert parse_tsv(write_tsv(triples)) == triples
+    assert rows(parse_tsv(write_tsv(triples))) == triples
 
 
 @given(triples_strategy)
@@ -105,7 +116,7 @@ def test_nt_and_tsv_agree_on_equivalent_content(triples):
 
 def test_nt_round_trip_keeps_literal_flag():
     triples = [RawTriple("ex:A", "ex:p", "some words here", is_literal=True)]
-    assert parse_ntriples(write_ntriples(triples)) == triples
+    assert rows(parse_ntriples(write_ntriples(triples))) == triples
 
 
 # Lines that stress parse_tsv's fast path: CR and CRLF ends, blank, tab-only
@@ -118,9 +129,9 @@ tsv_line = st.one_of(
 )
 
 
-@given(st.lists(tsv_line, max_size=8), st.sampled_from(["\n", "\r\n"]), st.booleans())
+@given(st.lists(tsv_line, max_size=8), st.sampled_from(["\n", "\r\n"]), st.booleans(), st.sampled_from([1, 5, 1 << 20]))
 @settings(max_examples=300)
-def test_parse_tsv_equals_the_per_line_oracle(lines, end, final_end):
+def test_parse_tsv_equals_the_per_line_oracle(lines, end, final_end, block):
     text = end.join(lines) + (end if final_end and lines else "")
     try:
         want = reference_parse_tsv(text)
@@ -128,10 +139,48 @@ def test_parse_tsv_equals_the_per_line_oracle(lines, end, final_end):
         want = (e.line_no, str(e))
     for source in (text, io.StringIO(text, newline="\n")):
         try:
-            got = parse_tsv(source)
+            with mock.patch.object(ingest, "_BLOCK", block):
+                columns = parse_tsv(source)
+            got = rows(columns)
         except MalformedLineError as e:
             got = (e.line_no, str(e))
         assert got == want
         if isinstance(got, list):
-            assert all(type(t) is RawTriple and t.is_literal is False for t in got)
+            assert type(columns) is TermColumns
+            assert all(type(c) is list and all(type(t) is str for t in c)
+                       for c in (columns.subjects, columns.predicates, columns.objects))
+            assert columns.is_literal == [False] * len(got)
 
+
+# Blocks of a few characters put block boundaries inside the fast-path lines,
+# next to a CRLF end, before a blank line and around a malformed line.
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 12, 40])
+def test_parse_tsv_blocks_equal_the_per_line_oracle(monkeypatch, block):
+    monkeypatch.setattr(ingest, "_BLOCK", block)
+    good = "a\tb\tc\nd\tee\tf\r\n\n \t \t \ng\th\ti\njj\tk\tl\nm\tn\to"
+    assert rows(parse_tsv(good)) == reference_parse_tsv(good)
+    assert len(parse_tsv(good)) == 5
+    for bad in (good + "\np\tq\n", "a\tb\tc\r\n" * 3 + "x\t\ty\n" + "a\tb\tc\n", "a\tb\tc\n" * 4 + "d\te\tf\tg"):
+        with pytest.raises(MalformedLineError) as got:
+            parse_tsv(bad)
+        with pytest.raises(MalformedLineError) as want:
+            reference_parse_tsv(bad)
+        assert (got.value.line_no, str(got.value)) == (want.value.line_no, str(want.value))
+
+
+def test_parsed_columns_share_one_string_per_term():
+    text = "".join(f"s{i % 5}\tp{i % 3}\ts{(i + 1) % 5}\n" for i in range(40))
+    nt = "".join(f'<s{i % 5}> <p{i % 3}> "s{i % 4}" .\n' for i in range(40))
+    for columns in (parse_tsv(text), parse_tsv(text.replace("\n", "\r\n")), parse_ntriples(nt)):
+        terms = columns.subjects + columns.predicates + columns.objects
+        assert len({id(t) for t in terms}) == len(set(terms))
+
+
+def test_term_columns_of_rows_and_their_sum():
+    raws = [RawTriple("a", "p", "b"), RawTriple("b", "q", "text", is_literal=True)]
+    columns = ingest.as_columns(raws)
+    assert columns == TermColumns(["a", "b"], ["p", "q"], ["b", "text"], [False, True])
+    assert len(columns) == 2 and len(ingest.as_columns([])) == 0
+    assert rows(columns + ingest.as_columns(raws[:1])) == raws + raws[:1]
+    kept, dropped = drop_literals(columns)
+    assert (rows(kept), dropped) == (raws[:1], 1)

@@ -308,6 +308,21 @@ def test_id_arrays_and_tuple_lists_give_equal_results(tmp_path):
         evaluate(result.table, empty, vocab, indexes[0], EvalConfig())
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, bool])
+def test_non_integer_id_arrays_are_rejected(bilingual_vocab, bilingual_triples, dtype):
+    # float ids would otherwise be truncated: [[0.7, 1.9, 2.2]] read as [[0, 1, 2]]
+    ids = np.array(bilingual_triples, dtype=dtype)
+    if dtype is not bool:
+        ids += 0.7
+    index = TripleIndex(bilingual_triples)
+    table = train(bilingual_triples, bilingual_vocab, small_config(epochs=1)).table
+    for call in (lambda: train(ids, bilingual_vocab, small_config(epochs=1)),
+                 lambda: evaluate(table, ids, bilingual_vocab, index, EvalConfig()),
+                 lambda: TripleIndex(ids)):
+        with pytest.raises(ValueError, match=np.dtype(dtype).name):
+            call()
+
+
 def test_train_seed_changes_result(bilingual_vocab, bilingual_triples):
     a = train(bilingual_triples, bilingual_vocab, small_config(seed=0))
     b = train(bilingual_triples, bilingual_vocab, small_config(seed=1))

@@ -15,7 +15,9 @@ from kgeu import (
     dataset_stats,
     dump_vocabulary,
     intern,
+    parse_tsv,
     parse_vocabulary,
+    write_tsv,
 )
 from kgeu.vocab import MAX_INDEX_IDS
 from conftest import random_graph, reference_intern
@@ -116,22 +118,35 @@ def test_intern_equals_reference(raws, unify):
         want = reference_intern(raws, vocab)
     except UnknownTermError as e:
         want = e.terms
-    try:
-        result = intern(iter(raws), vocab)
-        got = (result.triples, result.duplicates)
-        assert all(type(t) is tuple for t in result.triples)
-    except UnknownTermError as e:
-        got = e.terms
-    assert got == want
+    for triples in (iter(raws), parse_tsv(write_tsv(raws))):  # rows, and the same triples as term columns
+        try:
+            result = intern(triples, vocab)
+            got = (result.triples, result.duplicates)
+            assert all(type(t) is tuple for t in result.triples)
+        except UnknownTermError as e:
+            got = e.terms
+        assert got == want
+
+
+@given(raw_triples_lists, st.booleans())
+@settings(max_examples=60)
+def test_build_vocabulary_over_columns_equals_over_rows(raws, unify):
+    by_rows = build_vocabulary(raws, unify=unify)
+    by_columns = build_vocabulary(parse_tsv(write_tsv(raws)), unify=unify)
+    assert by_columns.id_to_term == by_rows.id_to_term
+    assert by_columns._entity_id == by_rows._entity_id
+    assert by_columns._property_id == by_rows._property_id
 
 
 def test_intern_returns_plain_int_tuples_the_collector_untracks():
     raws = random_graph(np.random.default_rng(4), n_entities=12, n_relations=4, n_triples=60, property_nodes=True)
-    triples = intern(raws + raws[:5], build_vocabulary(raws, unify=True)).triples
-    assert triples
-    assert all(type(t) is tuple and len(t) == 3 and all(type(i) is int for i in t) for t in triples)
-    gc.collect()
-    assert not any(gc.is_tracked(t) for t in triples)
+    vocab = build_vocabulary(raws, unify=True)
+    for source in (raws + raws[:5], parse_tsv(write_tsv(raws + raws[:5]))):
+        triples = intern(source, vocab).triples
+        assert triples
+        assert all(type(t) is tuple and len(t) == 3 and all(type(i) is int for i in t) for t in triples)
+        gc.collect()
+        assert not any(gc.is_tracked(t) for t in triples)
 
 
 def test_intern_self_consistency(bilingual_raws, bilingual_vocab):

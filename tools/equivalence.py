@@ -19,9 +19,14 @@ candidates and more test triples than one evaluation chunk holds):
 * `predict` on every archive in all three directions, with and without
   `--known`,
 
-together with every command's stdout, stderr and exit code. It prints each
-output that differs and exits 1 if any does. Commands run with relative
-paths, so the outputs hold no tree-specific path.
+and, for two hand-written inputs, `ingest --dump`, one `train` and one
+`eval`: a TSV file with CRLF ends, blank and whitespace-only lines, a term
+holding U+0085 and no final newline (which takes `parse_tsv`'s per-line
+checks), and an N-Triples file with literals, under the default (literals
+dropped) and `--keep-literals`. Every command's stdout, stderr and exit
+code are compared too. It prints each output that differs and exits 1 if
+any does. Commands run with relative paths, so the outputs hold no
+tree-specific path.
 
 This is a same-machine comparison, not a stored digest: ComplEx's
 `exp`/`logaddexp` can differ in the last bit across CPUs, so only two runs
@@ -45,6 +50,12 @@ GRAPHS = {
 }
 TRAIN = ["--dim", "8", "--epochs", "15", "--batch", "16"]
 SEED = "3"  # of the generated graphs and of training
+HAND = {  # file name -> text, written byte for byte
+    "hand.tsv": ("ex:a\tex:p\tex:b\r\n\r\n \t \t \r\nex:b\tex:p\tex:c\u0085d\r\n\nex:c\u0085d\tex:q\tex:p\r\n"
+                 "ex:a\tex:p\tex:b\r\nex:p\tex:q\tex:a\r\nex:b\tex:q\tex:a"),
+    "hand.nt": ('# literals and IRIs\n<ex:a> <ex:p> <ex:b> .\n<ex:a> <ex:label> "an a" .\n<ex:b> <ex:p> <ex:c> .\n'
+                '<ex:c> <ex:label> "the c" .\r\n<ex:p> <ex:q> <ex:a> .\n<ex:c> <ex:q> <ex:p> .\n'),
+}
 
 
 def extract(rev: str, dest: Path) -> None:
@@ -90,6 +101,16 @@ def matrix(out: Path, kgeu) -> None:
             for direction, query in queries.items():
                 for known in ([], ["--known", train]):
                     kgeu("predict", "--direction", direction, *query, *known, archive)
+    (out / "hand").mkdir()
+    for name, text in HAND.items():
+        (out / "hand" / name).write_bytes(text.encode("utf-8"))
+    for fmt, data, literals in (("tsv", "hand/hand.tsv", [[]]), ("nt", "hand/hand.nt", [[], ["--keep-literals"]])):
+        for keep in literals:
+            name = f"hand/{fmt}{''.join(keep)}"
+            kgeu("ingest", "--format", fmt, *keep, "--dump", f"{name}.vocab.txt", data)
+            kgeu("train", "--format", fmt, *keep, "--model", "transe", *TRAIN, "--seed", SEED,
+                 "--out", f"{name}.kgeu", data)
+            kgeu("eval", "--format", fmt, "--train", data, "--out-json", f"{name}.json", f"{name}.kgeu", data)
 
 
 def run_tree(src: Path, out: Path) -> list[str]:
