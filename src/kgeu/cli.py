@@ -62,9 +62,12 @@ def _sha256(path: Path) -> str:
 
 
 def _worker_count(n_jobs: int) -> int:
-    """KGEU_THREADS, unset or empty for all cores, capped at the job count."""
+    """KGEU_THREADS, unset or empty for all cores this process may use
+    (its CPU affinity where the platform has one), capped at the job count."""
     value = os.environ.get("KGEU_THREADS", "")
     if not value:
+        if hasattr(os, "sched_getaffinity"):
+            return min(len(os.sched_getaffinity(0)), n_jobs)
         return min(os.cpu_count() or 1, n_jobs)
     try:
         workers = int(value)

@@ -22,10 +22,15 @@ A unified vocabulary id owns a single row, so a term's entity-role and
 relation-role vectors are the same storage and stay identical through
 training. Gradients are analytic, returned sparsely for exactly the rows
 a positive/negative pair touches, and are checked against central finite
-differences in the test suite.
+differences in the test suite. What a batch's gradient sums need from its
+ids alone (the stable order of their terms, segments and blocks) is a
+`PairPlan`, which `plan_pairs` builds for many batches of an epoch at once,
+so a training step only gathers rows, scores, scales and sums.
 """
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,7 +166,7 @@ def init_embeddings(
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
     """Rows scaled to unit L2; a row whose norm overflows comes out nan,
     not zero, so the finiteness checks see it."""
-    norms = np.linalg.norm(rows, axis=-1, keepdims=True)
+    norms = np.sqrt(np.add.reduce(rows * rows, axis=-1, keepdims=True))  # np.linalg.norm without its overhead
     return rows / np.where(np.isfinite(norms), np.maximum(norms, 1e-300), np.nan)
 
 
@@ -190,6 +195,14 @@ def _complex_parts(rows: np.ndarray, dim: int):
     return rows[..., :dim], rows[..., dim:]
 
 
+# (blocks, signs) of the gradient rows _forward(grad=True) returns per model.
+ROLE_ROWS = {
+    "transe": ((0, 0, 0), (-1.0, -1.0, 1.0)),
+    "transh": ((0, 1, 0), (1.0, 1.0, -1.0)),
+    "complex": ((0, 1, 2), (1.0, 1.0, 1.0)),
+}
+
+
 def _into(ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """ufunc(a, b), written over the temporary `a` unless `b` has more rows."""
     return ufunc(a, b, out=a if len(a) >= len(b) else None)
@@ -202,8 +215,8 @@ def _forward(cfg: ModelConfig, roles, w: np.ndarray | None = None, grad: bool = 
     transh, w holds the unit normal of each triple's predicate.
 
     Returns the scores. With grad, each roles(k) must be a fresh (n, width)
-    gather, which this may overwrite, and it returns
-    (scores, rows, blocks, signs, grad_w): dscore/d(role k) of triple r is
+    gather, which this may overwrite, and it returns (scores, rows, grad_w):
+    with (blocks, signs) = ROLE_ROWS[model], dscore/d(role k) of triple r is
     signs[k] * rows[blocks[k] * n + r] for the roles (s, p, o); grad_w is
     transh's dscore/dw, else None.
 
@@ -237,14 +250,14 @@ def _forward(cfg: ModelConfig, roles, w: np.ndarray | None = None, grad: bool = 
         sc = np.add.reduce(x, axis=-1)
         if not grad:
             return sc
-        return sc, grads.reshape(3 * len(sc), 2 * dim), (0, 1, 2), (1.0, 1.0, 1.0), None
+        return sc, grads.reshape(3 * len(sc), 2 * dim), None
     if cfg.model == "transe":
         vs = roles(0)
         d = _into(np.subtract, np.add(vs, roles(1), out=vs if grad else None), roles(2))
     else:
         u = roles(0) - roles(2)
         t = w * u
-        wu = np.sum(t, axis=-1, keepdims=True)
+        wu = np.add.reduce(t, axis=-1, keepdims=True)
         d = np.subtract(u, np.multiply(wu, w, out=t), out=t)    # u - (w.u) w
         d += roles(1)
     scratch = None if grad else d                   # with grad, d becomes d||d||/dd
@@ -259,26 +272,22 @@ def _forward(cfg: ModelConfig, roles, w: np.ndarray | None = None, grad: bool = 
     else:
         np.sign(d, out=d)
     if cfg.model == "transe":
-        return -n, d, (0, 0, 0), (-1.0, -1.0, 1.0), None
+        return -n, d, None
     g = -d                                          # dscore/dd
-    gw = np.sum(g * w, axis=-1, keepdims=True)
+    gw = np.add.reduce(g * w, axis=-1, keepdims=True)
     g_proj = g - gw * w                             # dscore/dvs; dvo is its negation
     grad_w = -(gw * u + wu * g)                     # dscore/dw
-    return -n, np.concatenate([g_proj, g]), (0, 1, 0), (1.0, 1.0, -1.0), grad_w
-
-
-def _triple_forward(table: EmbeddingTable, ids: np.ndarray, grad: bool = False):
-    """_forward over an (n, 3) id array, gathering each role's rows on demand."""
-    w = None
-    if table.config.model == "transh":
-        w = table.relation_normals[table.normal_slot(ids[:, 1])]
-    return _forward(table.config, lambda k: table.node_vectors[ids[:, k]], w, grad)
+    return -n, np.concatenate([g_proj, g]), grad_w
 
 
 def score_batch(table: EmbeddingTable, ids: np.ndarray) -> np.ndarray:
     """Scores of the (n, 3) id triples `ids`; higher means more plausible."""
+    ids = np.asarray(ids, dtype=np.int64).reshape(-1, 3)
+    w = None
+    if table.config.model == "transh":
+        w = table.relation_normals[table.normal_slot(ids[:, 1])]
     with np.errstate(over="ignore", invalid="ignore"):
-        return _triple_forward(table, np.asarray(ids, dtype=np.int64).reshape(-1, 3))
+        return _forward(table.config, lambda k: table.node_vectors[ids[:, k]], w)
 
 
 # Bytes of one block of candidate rows in score_candidates: a block and its
@@ -508,52 +517,10 @@ class SparseGrad:
         return m
 
 
-def scatter_sum(
-    ids: np.ndarray, rows: np.ndarray, src: np.ndarray | None = None, coef: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sum `coef[j] * rows[src[j]]` into one row per unique id; ids returned ascending.
-
-    `src` defaults to 0..len(ids)-1 and `coef` to all ones (no product).
-    After one stable argsort of `ids`, each id's terms are summed in input
-    order by np.add.reduceat. The terms are gathered and scaled in blocks
-    of about BLOCK_BYTES that never split an id's segment, so no array of
-    all the terms is built and the result is bitwise that of one reduceat
-    over all of them.
-    """
-    width = rows.shape[1]
-    if len(ids) == 0:
-        return ids.astype(np.int64), np.empty((0, width), dtype=rows.dtype)
-    order = np.argsort(ids, kind="stable")
-    ids_sorted = ids[order]
-    new_id = np.empty(len(ids), dtype=bool)
-    new_id[0] = True
-    np.not_equal(ids_sorted[1:], ids_sorted[:-1], out=new_id[1:])
-    starts = np.flatnonzero(new_id)
-    src = order if src is None else src[order]
-    coef = None if coef is None else coef[order]
-    step = max(1, BLOCK_BYTES // (rows.itemsize * width))
-    if len(ids) > step:  # block k begins with the segment holding term k*step
-        seg = np.unique(np.searchsorted(starts, np.arange(0, len(ids), step), side="right") - 1)
-        edges = starts[seg].tolist() + [len(ids)]
-        seg = seg.tolist() + [len(starts)]
-    else:
-        seg, edges = [0, len(starts)], [0, len(ids)]
-    out = np.empty((len(starts), width), dtype=rows.dtype)
-    for a, b, s0, s1 in zip(edges[:-1], edges[1:], seg[:-1], seg[1:]):
-        terms = rows[src[a:b]]
-        if coef is not None:
-            terms *= coef[a:b, None]
-        np.add.reduceat(terms, starts[s0:s1] - a, axis=0, out=out[s0:s1])
-    return ids_sorted[starts], out
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e^-x) for x >= 0, else e^x / (1 + e^x): no exp can overflow."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -570,25 +537,184 @@ def _pair_reg_ids(pos: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, np.ndar
     return ids6, first
 
 
-def _role_terms(both: np.ndarray, dscore: np.ndarray,
-                blocks: tuple[int, int, int], signs: tuple[float, float, float]):
-    """Scatter terms of a pair batch's (s, p, o) role rows.
+# Terms planned at once: plan_pairs plans a run of batches a window of about
+# this many terms at a time, so its arrays do not grow with the epoch (on an
+# FB15K-shaped graph, a window held 1.9-4.7 MB and peaked at 3.4-7.2 MB
+# while built, over the three models at batches 8 and 512).
+PLAN_TERMS = 1 << 16
 
-    Row r of the (2B, 3) `both = [pos; neg]` has dL/dscore `dscore[r]`;
-    its role k takes gradient row `blocks[k] * 2B + r` with sign
-    `signs[k]`. Terms come in the order pos s, pos p, pos o, neg s, neg p,
-    neg o, each in batch order. Returns (ids, src, coef) for scatter_sum.
+
+@dataclass(slots=True)
+class ScatterPlan:
+    """One batch's sum of scaled rows into one row per id, planned from ids alone.
+
+    Term j is coef[cidx[j]] * sign[j] * rows[src[j]] (no sign factor where
+    `sign` is None). Terms are in the stable order of their ids, so each
+    id's terms keep their input order, and np.add.reduceat sums them in
+    that order. `blocks` cut the terms into runs of about BLOCK_BYTES of
+    rows that never split an id: (a, b, s0, s1, starts, reg) sums terms
+    a..b-1 into result rows s0..s1-1, whose segments begin at `starts`
+    (relative to a); reg is None or (positions relative to a, ids) of the
+    terms whose row is node_vectors[id] instead of rows[src].
     """
-    n = len(both) // 2
-    ids = both.reshape(2, n, 3).transpose(0, 2, 1).ravel()
-    r = np.arange(2 * n).reshape(2, 1, n)
-    src = (np.array([2 * n * k for k in blocks]).reshape(1, 3, 1) + r).ravel()
-    coef = (np.array(signs).reshape(1, 3, 1) * dscore.reshape(2, 1, n)).ravel()
-    return ids, src, coef
+
+    ids: np.ndarray        # unique ascending
+    src: np.ndarray
+    cidx: np.ndarray
+    sign: np.ndarray | None
+    blocks: list
+
+    def sum(self, rows: np.ndarray, coef: np.ndarray, nodes: np.ndarray | None = None) -> np.ndarray:
+        """One row per id. Only a block's terms are gathered and scaled at a
+        time, so no array of all of them is built, and the result is
+        bitwise that of one reduceat over all of them."""
+        scale = coef[self.cidx]
+        if self.sign is not None:
+            scale *= self.sign
+        out = np.empty((len(self.ids), rows.shape[1]), dtype=rows.dtype)
+        for a, b, s0, s1, starts, reg in self.blocks:
+            terms = rows[self.src[a:b]]
+            if reg is not None:
+                terms[reg[0]] = nodes[reg[1]]
+            terms *= scale[a:b, None]
+            np.add.reduceat(terms, starts, axis=0, out=out[s0:s1])
+        return out
+
+
+def _scatter_plans(keys: np.ndarray, n_keys: int, n_batches: int, m: int, src: np.ndarray,
+                   cidx: np.ndarray, sign: np.ndarray | None, row_bytes: int) -> Iterator[ScatterPlan]:
+    """Yield the ScatterPlan of each of `n_batches` batches, from one stable
+    argsort of the terms' keys batch * n_keys + id, id < n_keys.
+
+    Terms m*i .. m*i + m-1 are batch i's, in its summation order; the j-th
+    of them has row src[j], coefficient index cidx[j] and sign sign[j].
+    Any terms after those (complex's regulariser) come in their batches'
+    summation order, take their row from node_vectors and use entry m of
+    cidx and sign.
+    """
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new_id = np.empty(len(keys), dtype=bool)
+    new_id[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new_id[1:])
+    starts = new_id.nonzero()[0]
+    from_nodes = (order >= n_batches * m).nonzero()[0]
+    term = np.remainder(order, m, out=order)
+    term[from_nodes] = m
+    src, cidx = src[term], cidx[term]
+    sign = None if sign is None else sign[term]
+    t_edges = keys.searchsorted(np.arange(n_batches + 1) * n_keys)
+    s_edges = starts.searchsorted(t_edges)
+    r_edges = from_nodes.searchsorted(t_edges)
+    seg_ids = keys[starts] % n_keys
+    seg_starts = starts - t_edges[:-1].repeat(s_edges[1:] - s_edges[:-1])   # relative to the batch
+    reg_pos = from_nodes - t_edges[:-1].repeat(r_edges[1:] - r_edges[:-1])
+    reg_ids = keys[from_nodes] % n_keys
+    del keys, new_id, starts, from_nodes, order, term    # not held while the window's steps run
+    step = max(1, BLOCK_BYTES // row_bytes)
+    for t0, t1, s0, s1, r0, r1 in zip(*(e.tolist() for e in (
+            t_edges[:-1], t_edges[1:], s_edges[:-1], s_edges[1:], r_edges[:-1], r_edges[1:]))):
+        seg = seg_starts[s0:s1]
+        reg = (reg_pos[r0:r1], reg_ids[r0:r1]) if r1 > r0 else None
+        if t1 - t0 <= step:
+            blocks = [(0, t1 - t0, 0, s1 - s0, seg, reg)]
+        else:
+            blocks = _blocks(seg, t1 - t0, step, reg)
+        yield ScatterPlan(seg_ids[s0:s1], src[t0:t1], cidx[t0:t1], None if sign is None else sign[t0:t1],
+                          blocks)
+
+
+def _blocks(seg: np.ndarray, n: int, step: int, reg: tuple | None) -> list:
+    """ScatterPlan.blocks of n terms whose segments begin at `seg`: block
+    k begins with the segment holding term k*step."""
+    first = np.unique(np.searchsorted(seg, np.arange(0, n, step), side="right") - 1)
+    edges = seg[first].tolist() + [n]
+    first = first.tolist() + [len(seg)]
+    blocks = []
+    for a, b, u0, u1 in zip(edges[:-1], edges[1:], first[:-1], first[1:]):
+        block_reg = None
+        if reg is not None:
+            lo, hi = np.searchsorted(reg[0], (a, b)).tolist()
+            if hi > lo:
+                block_reg = (reg[0][lo:hi] - a, reg[1][lo:hi])
+        blocks.append((a, b, u0, u1, seg[u0:u1] - a, block_reg))
+    return blocks
+
+
+@dataclass(slots=True)
+class PairPlan:
+    """What one batch's gradient sums need that depends on its ids alone."""
+
+    nodes: ScatterPlan
+    normals: ScatterPlan | None     # transh
+    reg: tuple | None               # complex with complex_reg > 0: _pair_reg_ids(pos, neg)
+
+
+def _plan_window(table: EmbeddingTable, pos: np.ndarray, neg: np.ndarray, b: int) -> Iterator[PairPlan]:
+    """The PairPlans of the len(pos) // b batches of b pairs in pos and neg.
+    The window's ids are sorted at once, but each batch's plan, a few dozen
+    small objects, is only made when it is next, so only one batch's are
+    alive at a time."""
+    cfg = table.config
+    n_batches = len(pos) // b
+    both = np.concatenate([pos.reshape(n_batches, 1, b, 3), neg.reshape(n_batches, 1, b, 3)], axis=1)
+    batch_no = np.arange(n_batches)[:, None]
+    row_bytes = table.node_vectors.itemsize
+
+    # Each batch's node terms in the order pos s, p, o, neg s, p, o, each
+    # in batch order, then complex's regulariser terms in _pair_reg_ids order.
+    blocks, signs = ROLE_ROWS[cfg.model]
+    n_ids = len(table.node_vectors)
+    # a new array: for b == 1 the reshape is a view of `both`, read again below
+    keys = both.transpose(0, 1, 3, 2).reshape(n_batches, 6 * b) + batch_no * n_ids
+    keys, reg = keys.ravel(), None
+    row = np.arange(2 * b).reshape(2, 1, b)    # each triple's row in [pos; neg]
+    # entry 6b: a regulariser term, its row of node_vectors times coef[2b]
+    src = np.concatenate([(2 * b * np.array(blocks)[:, None] + row).ravel(), [0]])
+    cidx = np.concatenate([(row + np.zeros((3, 1), dtype=np.int64)).ravel(), [2 * b]])
+    sign = np.concatenate([(np.array(signs)[:, None] + np.zeros((2, 1, b))).ravel(), [1.0]])
+    if cfg.model == "complex" and cfg.complex_reg > 0.0:
+        ids6, first = _pair_reg_ids(pos, neg)
+        keys = np.concatenate([keys, np.nonzero(first)[0] // b * n_ids + ids6[first]])
+        reg = (ids6.reshape(n_batches, b, 6), first.reshape(n_batches, b, 6))
+    node_plans = _scatter_plans(keys, n_ids, n_batches, 6 * b, src, cidx, sign, row_bytes * cfg.width)
+
+    normal_plans = itertools.repeat(None)
+    if cfg.model == "transh":
+        slots = table.normal_slot(both[..., 1]).reshape(n_batches, 2 * b)
+        n_props = len(table.property_ids)
+        normal_plans = _scatter_plans((slots + batch_no * n_props).ravel(), n_props, n_batches, 2 * b,
+                                      np.arange(2 * b), np.arange(2 * b), None, row_bytes * cfg.dim)
+    return map(PairPlan, node_plans, normal_plans, itertools.repeat(None) if reg is None else zip(*reg))
+
+
+def plan_pairs(table: EmbeddingTable, pos: np.ndarray, neg: np.ndarray, batch: int):
+    """For each run of `batch` aligned pairs of the (P, 3) id arrays pos and
+    neg, in order (the last run may be shorter), yield its PairPlan, or None
+    for a run that pair_grad_batch plans itself.
+
+    Full runs are planned a window of about PLAN_TERMS terms at a time,
+    before the window's first step. A run alone in its window gains nothing
+    from that, and its plan, made ahead of the step, would sit in the heap
+    that the step's large row arrays then come from: planned that way, the
+    full batches of `train-desk` raised its peak RSS by about a tenth. So
+    such a run, and a short last run, are planned after their forward pass.
+    """
+    n = len(pos)
+    full = n - n % batch
+    window = batch * max(1, PLAN_TERMS // (6 * batch))
+    for w0 in range(0, full, window):
+        w1 = min(w0 + window, full)
+        if w1 - w0 > batch:
+            yield from _plan_window(table, pos[w0:w1], neg[w0:w1], batch)
+        else:
+            yield None
+    if full < n:
+        yield None
 
 
 def pair_grad_batch(
-    table: EmbeddingTable, pos: np.ndarray, neg: np.ndarray
+    table: EmbeddingTable, pos: np.ndarray, neg: np.ndarray, plan: PairPlan | None = None
 ) -> tuple[SparseGrad, np.ndarray]:
     """Per-pair training losses of aligned (B,3) positive/negative id
     arrays, and their analytic gradient summed over the batch.
@@ -597,38 +723,41 @@ def pair_grad_batch(
     complex: softplus(-score(pos)) + softplus(score(neg)) plus complex_reg
     times the squared L2 norm of each distinct row the pair touches.
     Returns the sparse gradient and the losses. Rows shared between roles
-    or between the two triples accumulate every contribution they receive.
+    or between the two triples accumulate every contribution they receive,
+    in the order pos s, p, o, neg s, p, o, then complex's regulariser.
+    `plan` is the batch's PairPlan from plan_pairs; without one, the batch
+    is planned here, after the forward pass.
     """
     cfg = table.config
+    nodes = table.node_vectors
     b = len(pos)
     both = np.concatenate([pos, neg])
     with np.errstate(over="ignore", invalid="ignore"):  # train() rejects a non-finite loss
-        sc, rows, blocks, signs, grad_w = _triple_forward(table, both, grad=True)
+        w = None
+        if cfg.model == "transh":
+            w = table.relation_normals[table.normal_slot(both[:, 1])]
+        sc, rows, grad_w = _forward(cfg, lambda k: nodes[both[:, k]], w, grad=True)
+        if plan is None:
+            (plan,) = _plan_window(table, pos, neg, b)
         sp, sn = sc[:b], sc[b:]
-        reg_ids = None
         if cfg.model == "complex":
-            losses = _softplus(-sp) + _softplus(sn)
-            dscore = np.concatenate([-_sigmoid(-sp), _sigmoid(sn)])
-            if cfg.complex_reg > 0.0:
-                ids6, first = _pair_reg_ids(pos, neg)
-                sq = np.sum(table.node_vectors[ids6] ** 2, axis=-1)
-                losses = losses + cfg.complex_reg * np.sum(sq * first, axis=1)
-                reg_ids = ids6[first]
+            x = np.concatenate([-sp, sn])
+            losses = _softplus(x)
+            losses = losses[:b] + losses[b:]
+            s = _sigmoid(x)
+            # the last coefficient is that of the regulariser terms
+            dscore = np.concatenate([-s[:b], s[b:], [2.0 * cfg.complex_reg]])
+            if plan.reg is not None:
+                ids6, first = plan.reg
+                sq = np.add.reduce(nodes[ids6] ** 2, axis=-1)
+                losses = losses + cfg.complex_reg * np.add.reduce(sq * first, axis=1)
         else:
             viol = cfg.margin - sp + sn
             losses = np.maximum(0.0, viol)
             act = (viol > 0.0).astype(np.float64)
             # dL/dscore(pos) = -1, dL/dscore(neg) = +1 where the hinge is active
             dscore = np.concatenate([-act, act])
-    ids, src, coef = _role_terms(both, dscore, blocks, signs)
-    if reg_ids is not None:
-        ids = np.concatenate([ids, reg_ids])
-        src = np.concatenate([src, np.arange(len(rows), len(rows) + len(reg_ids))])
-        coef = np.concatenate([coef, np.full(len(reg_ids), 2.0 * cfg.complex_reg)])
-        rows = np.concatenate([rows, table.node_vectors[reg_ids]])
-    node_ids, node_grads = scatter_sum(ids, rows, src, coef)
-    grad = SparseGrad(cfg.width, cfg.dim, node_ids, node_grads)
+    grad = SparseGrad(cfg.width, cfg.dim, plan.nodes.ids, plan.nodes.sum(rows, dscore, nodes))
     if grad_w is not None:
-        slots = table.normal_slot(both[:, 1])
-        grad.normal_slots, grad.normal_grads = scatter_sum(slots, grad_w, coef=dscore)
+        grad.normal_slots, grad.normal_grads = plan.normals.ids, plan.normals.sum(grad_w, dscore)
     return grad, losses

@@ -21,6 +21,7 @@ from .models import (
     is_finite_real,
     is_int,
     pair_grad_batch,
+    plan_pairs,
     renormalize_entities,
     renormalize_normals,
 )
@@ -148,7 +149,7 @@ class AdamState:
             mi /= vi
             pi -= mi
             params[ids] = pi
-        if not np.all(np.isfinite(pi)):
+        if not np.isfinite(pi).all():
             raise NonFiniteUpdateError()
 
 
@@ -187,11 +188,12 @@ class TrainResult:
 def train(train_triples: IdTriples, vocab: Vocabulary, config: TrainConfig) -> TrainResult:
     """Run the full training loop and return the learned table.
 
-    Per epoch: shuffle, corrupt each positive into `negatives` negatives,
-    sum pair gradients per batch, apply Adam, then re-apply per-model
-    constraints (transe entity renorm at epoch end; transh normals after
-    every step). Corruption rejection checks negatives against the
-    training triples.
+    Per epoch: shuffle, corrupt each positive into `negatives` negatives
+    with one negative_samples call, plan the batches' scatters from their
+    ids (plan_pairs), then per batch sum the pair gradients, apply Adam,
+    and re-apply per-model constraints (transe entity renorm at epoch end;
+    transh normals after every step). Corruption rejection checks
+    negatives against the training triples.
     """
     triples = id_array(train_triples)
     if not len(triples):
@@ -205,23 +207,23 @@ def train(train_triples: IdTriples, vocab: Vocabulary, config: TrainConfig) -> T
     adam = AdamState(table)
 
     n = len(triples)
-    batch_size = config.resolved_batch_size(n)
+    pairs_per_batch = config.resolved_batch_size(n) * config.negatives
     cap_hits = 0
     log: list[EpochStats] = []
 
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
-        order = shuffle_rng.permutation(n)
+        pos = triples[shuffle_rng.permutation(n)]
+        if config.negatives > 1:
+            pos = np.repeat(pos, config.negatives, axis=0)
+        neg, capped = negative_samples(pos, vocab.entity_ids, index, sample_rng)
+        cap_hits += capped
         loss_sum = 0.0
         pair_count = 0
-        for batch_no, start in enumerate(range(0, n, batch_size)):
-            pos = triples[order[start:start + batch_size]]
-            if config.negatives > 1:
-                pos = np.repeat(pos, config.negatives, axis=0)
-            neg, capped = negative_samples(pos, vocab.entity_ids, index, sample_rng)
-            cap_hits += capped
+        for batch_no, plan in enumerate(plan_pairs(table, pos, neg, pairs_per_batch)):
+            batch = slice(batch_no * pairs_per_batch, (batch_no + 1) * pairs_per_batch)
             try:
-                grad, losses = pair_grad_batch(table, pos, neg)
+                grad, losses = pair_grad_batch(table, pos[batch], neg[batch], plan)
                 adam_step(table, adam, grad, config.learning_rate)
             except NonFiniteUpdateError:
                 raise NonFiniteUpdateError(epoch=epoch, batch=batch_no) from None

@@ -168,6 +168,17 @@ def test_train_empty_kgeu_threads_is_the_default(capsys, monkeypatch, tmp_path, 
     assert code == 0
 
 
+def test_default_worker_count_is_the_cores_this_process_may_use(monkeypatch):
+    monkeypatch.setenv("KGEU_THREADS", "")
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert kgeu.cli._worker_count(8) == 2
+    assert kgeu.cli._worker_count(1) == 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # a platform without affinity
+    assert kgeu.cli._worker_count(8) == 8
+    assert kgeu.cli._worker_count(100) == 64
+
+
 def test_process_pool_archives_equal_serial_archives(capsys, monkeypatch, tmp_path, bilingual_tsv):
     outputs = {}
     for threads in ("1", "2"):

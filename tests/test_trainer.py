@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import kgeu.models
+import kgeu.trainer
 from kgeu import (
     AdamState,
     EmptyDatasetError,
@@ -18,10 +20,11 @@ from kgeu import (
     init_embeddings,
     intern,
     negative_samples,
+    pair_grad_batch,
     save,
     train,
 )
-from kgeu.models import SparseGrad
+from kgeu.models import SparseGrad, renormalize_entities, renormalize_normals
 from kgeu.toy import ToySpec, generate_toy
 from kgeu.trainer import MAX_REJECTION_ATTEMPTS
 from conftest import random_graph
@@ -321,6 +324,93 @@ def test_non_integer_id_arrays_are_rejected(bilingual_vocab, bilingual_triples, 
                  lambda: TripleIndex(ids)):
         with pytest.raises(ValueError, match=np.dtype(dtype).name):
             call()
+
+
+def per_batch_training(triples, vocab: kgeu.Vocabulary, config: TrainConfig):
+    """train() written as one pair_grad_batch (which plans its own batch)
+    and one adam_step per batch, drawing each epoch's negatives the same
+    way; returns the table and the mean loss of each epoch."""
+    triples = np.array(triples)
+    index = TripleIndex(triples)
+    init_rng, shuffle_rng, sample_rng = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(3))
+    table = init_embeddings(config.model, vocab, init_rng, share=config.share)
+    adam = AdamState(table)
+    step = config.resolved_batch_size(len(triples)) * config.negatives
+    mean_losses = []
+    for _ in range(config.epochs):
+        pos = np.repeat(triples[shuffle_rng.permutation(len(triples))], config.negatives, axis=0)
+        neg, _ = negative_samples(pos, vocab.entity_ids, index, sample_rng)
+        loss_sum = 0.0
+        for start in range(0, len(pos), step):
+            grad, losses = pair_grad_batch(table, pos[start:start + step], neg[start:start + step])
+            adam_step(table, adam, grad, config.learning_rate)
+            if config.model.model == "transh":
+                renormalize_normals(table, grad.normal_slots)
+            loss_sum += float(losses.sum())
+        if config.model.model == "transe":
+            renormalize_entities(table, vocab)
+        mean_losses.append(loss_sum / len(pos))
+    return table, mean_losses
+
+
+@pytest.mark.parametrize("model,norm,complex_reg,unify,negatives,batch_size", [
+    ("transe", "l1", 1e-3, True, 1, 7),
+    ("transe", "l2", 1e-3, False, 3, 7),
+    ("transh", "l1", 1e-3, False, 1, 7),
+    ("transh", "l2", 1e-3, True, 3, 7),
+    ("complex", "l2", 0.0, True, 1, 7),
+    ("complex", "l2", 1e-2, False, 1, 7),
+    ("complex", "l2", 1e-2, True, 3, 7),
+    ("transh", "l2", 1e-3, True, 1, 1),
+    ("complex", "l2", 1e-2, True, 1, 1),
+])
+def test_planned_epochs_equal_per_batch_steps(tmp_path, monkeypatch, model, norm, complex_reg, unify, negatives,
+                                              batch_size):
+    # 30 triples: in batches of 7, every epoch ends in a ragged batch of 2.
+    # train() plans two batches per window in blocks of 10 terms, so windows,
+    # blocks and regulariser rows are all cut; the per-batch loop plans one
+    # batch at a time in full-size blocks. Archive bytes and losses must agree.
+    # Batches of one pair are the case where reshaping the planner's ids
+    # needs no copy, so a plan must not write into its id arrays.
+    raws = random_graph(np.random.default_rng(8), n_entities=10, n_relations=3, n_triples=30, property_nodes=True)
+    vocab = build_vocabulary(raws, unify=unify)
+    triples = intern(raws, vocab).triples
+    cfg = small_config(model=ModelConfig(model=model, dim=4, norm=norm, complex_reg=complex_reg),
+                       epochs=4, batch_size=batch_size, negatives=negatives)
+    paths = [tmp_path / "planned.kgeu", tmp_path / "per-batch.kgeu"]
+    with monkeypatch.context() as m:
+        m.setattr(kgeu.models, "PLAN_TERMS", 2 * 6 * batch_size * negatives)
+        m.setattr(kgeu.models, "BLOCK_BYTES", 10 * 8 * cfg.model.width)
+        result = train(triples, vocab, cfg)
+    table, mean_losses = per_batch_training(triples, vocab, cfg)
+    save(result.table, vocab, cfg, paths[0])
+    save(table, vocab, cfg, paths[1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert [s.mean_loss for s in result.log] == mean_losses
+
+
+def test_train_draws_each_epochs_negatives_at_once(monkeypatch):
+    # every p-fact over the entities e0..e2 is known, so corrupting one hits
+    # the cap, while the q-facts' corruptions escape
+    raws = [RawTriple(f"e{i}", "p", f"e{j}") for i in range(3) for j in range(3)]
+    raws += [RawTriple("e0", "q", "e1"), RawTriple("e2", "q", "e0")]
+    vocab = build_vocabulary(raws, unify=True)
+    triples = intern(raws, vocab).triples
+    index = TripleIndex(triples)
+    calls = []
+
+    def recording(pos, entities, idx, rng):
+        neg, capped = negative_samples(pos, entities, idx, rng)
+        calls.append((len(pos), neg, capped))
+        return neg, capped
+
+    monkeypatch.setattr(kgeu.trainer, "negative_samples", recording)
+    result = train(triples, vocab, small_config(epochs=3, batch_size=4, negatives=2))
+    assert [rows for rows, _, _ in calls] == [2 * len(triples)] * 3
+    assert result.rejection_cap_hits == sum(capped for _, _, capped in calls) > 0
+    for _, neg, capped in calls:  # exactly the capped rows are still known triples
+        assert np.count_nonzero(index.contains(neg)) == capped
 
 
 def test_train_seed_changes_result(bilingual_vocab, bilingual_triples):

@@ -24,9 +24,16 @@ and, for two hand-written inputs, `ingest --dump`, one `train` and one
 holding U+0085 and no final newline (which takes `parse_tsv`'s per-line
 checks), and an N-Triples file with literals, under the default (literals
 dropped) and `--keep-literals`. Every command's stdout, stderr and exit
-code are compared too. It prints each output that differs and exits 1 if
-any does. Commands run with relative paths, so the outputs hold no
-tree-specific path.
+code are compared too. Commands run with relative paths, so the outputs
+hold no tree-specific path.
+
+A third run repeats only the matrix's `eval` and `predict` commands with
+this checkout's `src/`, on a copy of REV's outputs, so on REV's own data
+and archives, and compares them with REV's. A change that alters trained
+archives on purpose (a new sampling stream, say) can so still show that
+evaluation and prediction of a given archive are unchanged, while the
+first comparison shows that ingest is. It prints each output that differs
+in either comparison and exits 1 if any does.
 
 This is a same-machine comparison, not a stored digest: ComplEx's
 `exp`/`logaddexp` can differ in the last bit across CPUs, so only two runs
@@ -37,6 +44,7 @@ import argparse
 import difflib
 import io
 import os
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -101,7 +109,7 @@ def matrix(out: Path, kgeu) -> None:
             for direction, query in queries.items():
                 for known in ([], ["--known", train]):
                     kgeu("predict", "--direction", direction, *query, *known, archive)
-    (out / "hand").mkdir()
+    (out / "hand").mkdir(exist_ok=True)
     for name, text in HAND.items():
         (out / "hand" / name).write_bytes(text.encode("utf-8"))
     for fmt, data, literals in (("tsv", "hand/hand.tsv", [[]]), ("nt", "hand/hand.nt", [[], ["--keep-literals"]])):
@@ -113,18 +121,25 @@ def matrix(out: Path, kgeu) -> None:
             kgeu("eval", "--format", fmt, "--train", data, "--out-json", f"{name}.json", f"{name}.kgeu", data)
 
 
-def run_tree(src: Path, out: Path) -> list[str]:
+def run_tree(src: Path, out: Path, reads_only: bool = False) -> tuple[int, list[str]]:
     """Run the matrix with the kgeu sources in `src`, writing into `out`;
-    each command's stdout, stderr and exit code go to out/log/<n>.txt.
-    Returns the commands that exited non-zero."""
+    each command's stdout, stderr and exit code go to out/log/<n>.txt, n
+    its place in the matrix. With reads_only, only the `eval` and
+    `predict` commands run, on the files already in `out`. Returns the
+    number of commands run and those that exited non-zero."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    (out / "log").mkdir(parents=True)
-    commands, failed = [], []
+    (out / "log").mkdir(parents=True, exist_ok=reads_only)
+    commands, ran, failed = [], [], []
 
     def kgeu(*args: str) -> None:
+        commands.append(f"kgeu {' '.join(args)}")
+        if reads_only and args[0] not in ("eval", "predict"):
+            return
+        if "--out-json" in args:  # never compare a stale copy
+            (out / args[args.index("--out-json") + 1]).unlink(missing_ok=True)
         proc = subprocess.run([sys.executable, "-m", "kgeu.cli", *args], cwd=out, env=env,
                               capture_output=True, text=True)
-        commands.append(f"kgeu {' '.join(args)}")
+        ran.append(commands[-1])
         if proc.returncode:
             failed.append(commands[-1])
         (out / "log" / f"{len(commands):04d}.txt").write_text(
@@ -132,7 +147,7 @@ def run_tree(src: Path, out: Path) -> list[str]:
             encoding="utf-8")
 
     matrix(out, kgeu)
-    return failed
+    return len(ran), failed
 
 
 def compare(a: Path, b: Path) -> list[str]:
@@ -164,13 +179,20 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         extract(args.base, tmp / "base-tree")
         run_tree(tmp / "base-tree" / "src", tmp / "base")
-        failed = run_tree(ROOT / "src", tmp / "change")
+        _, failed = run_tree(ROOT / "src", tmp / "change")
+        shutil.copytree(tmp / "base", tmp / "reads")
+        reads, reads_failed = run_tree(ROOT / "src", tmp / "reads", reads_only=True)
         outputs = sum(1 for p in (tmp / "change").rglob("*") if p.is_file())
         problems = compare(tmp / "base", tmp / "change")
-    for command in failed:  # the same failure on both sides is still a matrix to fix
+        read_problems = compare(tmp / "base", tmp / "reads")
+    for command in failed + reads_failed:  # the same failure on both sides is still a matrix to fix
         print(f"exited non-zero: {command}")
-    print("\n".join(problems) if problems else f"{outputs} outputs byte-identical to {args.base}")
-    return 1 if problems or failed else 0
+    differ = sum(not line.startswith("    ") for line in problems)
+    print("\n".join(problems + [f"{differ} of {outputs} outputs differ from {args.base}"]) if problems else
+          f"{outputs} outputs byte-identical to {args.base}")
+    reads_on = f"{reads} eval and predict commands on {args.base}'s archives"
+    print("\n".join([f"{reads_on}:"] + read_problems) if read_problems else f"{reads_on} byte-identical")
+    return 1 if problems or read_problems or failed or reads_failed else 0
 
 
 if __name__ == "__main__":
