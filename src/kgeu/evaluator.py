@@ -1,16 +1,14 @@
 """Link-prediction evaluation: raw/filtered MeanRank and Hits@k.
 
 For each test triple and direction, every candidate id is substituted
-into the missing position and scored. A CandidateScreen scores a chunk of
-test triples in every direction with one matrix product against the
-table, each score with a proven error bound. Candidates that the bound
-places above or below the true answer's bitwise score_batch score are
-counted from it; the rest are rescored with score_batch and compared
-exactly, so every rank is the one that bitwise scores give. The filtered
-setting removes candidates that form a known triple, except the true
-answer. Ties are broken pessimistically: a candidate scoring exactly the
-true answer's score counts against it, so a constant scorer earns the
-worst-case rank.
+into the missing position and scored. A CandidateScreen places most
+candidates of a chunk of test triples above or below the true answer's
+bitwise score_batch score, from one matrix product against the table and
+a proven error bound; the rest are rescored with score_batch, so every
+rank is the one that bitwise scores give. The filtered setting removes
+candidates that form a known triple, except the true answer. Ties are
+broken pessimistically: a candidate scoring exactly the true answer's
+score counts against it, so a constant scorer earns the worst-case rank.
 """
 
 from dataclasses import asdict, dataclass, fields, replace
@@ -67,18 +65,6 @@ def candidate_set(vocab: Vocabulary, policy: str = "entities-only") -> np.ndarra
     return np.union1d(vocab.entity_ids, shared)
 
 
-def _check_true_answers(true_ids: np.ndarray, directions: tuple[str, ...], is_candidate: np.ndarray) -> None:
-    """Raise unless every id of `true_ids` (the answers of each direction in
-    turn) is a candidate, per the mask `is_candidate` over all ids."""
-    bad = ~is_candidate[true_ids]
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise TrueAnswerNotCandidateError(
-            f"true {directions[i * len(directions) // len(true_ids)]} id {true_ids[i]} "
-            "is not in the candidate set"
-        )
-
-
 def _chunk_ranks(screen: CandidateScreen, triples: np.ndarray, directions: tuple[str, ...],
                  index: TripleIndex) -> tuple[np.ndarray, np.ndarray]:
     """Raw and filtered ranks of the true answers of (Q, 3) `triples`, as
@@ -87,29 +73,22 @@ def _chunk_ranks(screen: CandidateScreen, triples: np.ndarray, directions: tuple
     Both count, from one (D·Q, n_ids) `score >= true score` matrix with
     the columns of non-candidates masked out, the other candidates that
     tie or beat the true answer; the filtered rank then drops those that
-    complete a known triple, found with index.known(). The true scores
-    come from score_batch. With gap = approx - true score from the screen,
-    a candidate is decided where |gap| > bound, and counted there when
-    gap >= 0; every other one, and every candidate of a query whose true
-    score is not finite (a nan gap), is rescored with score_batch. The
-    exact (L1) screen's gap is the difference of two bitwise scores, so
-    there every gap but nan is decided, ties included.
+    complete a known triple, found with index.known(). score_batch gives
+    the true scores and those of the candidates the screen cannot place.
     """
     table, n_q = screen.table, len(triples)
     slots = np.array([DIRECTIONS.index(d) for d in directions])
     true_ids = triples[:, slots].T.ravel()      # the true answer's column in each row
-    _check_true_answers(true_ids, directions, screen.is_candidate)
+    bad = ~screen.is_candidate[true_ids]
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise TrueAnswerNotCandidateError(
+            f"true {directions[i // n_q]} id {true_ids[i]} is not in the candidate set")
     true = score_batch(table, triples)
-    gap, bound = screen(triples, directions, true)
-    with np.errstate(invalid="ignore"):  # nan gaps and bounds stay unsure
-        ge = np.greater_equal(gap, 0.0)     # read only where sure
-        if screen.exact:
-            sure = ~np.isnan(gap)
-        else:
-            sure = np.greater(np.abs(gap, out=gap), bound)
+    ge, unsure = screen(triples, directions, true)
     ge &= screen.is_candidate
-    unsure = ~sure & screen.is_candidate
-    r = np.arange(len(gap))
+    unsure &= screen.is_candidate
+    r = np.arange(len(ge))
     unsure[r, true_ids] = False
     rq, rc = np.divmod(np.flatnonzero(unsure), unsure.shape[1])  # 2-d np.nonzero is many times slower
     step = max(1, BLOCK_BYTES // (table.node_vectors.itemsize * table.config.width))
@@ -119,7 +98,8 @@ def _chunk_ranks(screen: CandidateScreen, triples: np.ndarray, directions: tuple
         rescored[np.arange(len(iq)), slots[iq // n_q]] = ic
         ge[iq, ic] = score_batch(table, rescored) >= true[iq % n_q]
     ge[r, true_ids] = False
-    raw = 1 + np.count_nonzero(ge, axis=1).reshape(len(directions), n_q)
+    # a popcount of the packed rows: several times faster than count_nonzero(axis=1)
+    raw = 1 + np.bitwise_count(np.packbits(ge, axis=1)).sum(axis=1, dtype=np.intp).reshape(len(directions), n_q)
     filt = raw.copy()
     for k, direction in enumerate(directions):
         rows, ids = index.known(np.delete(triples, slots[k], axis=1), direction)

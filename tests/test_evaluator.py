@@ -25,7 +25,7 @@ from kgeu import (
     summarize_reports,
 )
 from kgeu.evaluator import QUERY_CHUNK, _chunk_ranks
-from kgeu.models import CandidateScreen, EmbeddingTable
+from kgeu.models import SCREEN_NORM_LIMIT, CandidateScreen, EmbeddingTable
 from conftest import oracle_score, random_graph, rank, reference_rank
 
 
@@ -350,30 +350,121 @@ def test_screen_rescores_where_the_bitwise_path_overflows():
     assert list(raw[0]) == [reference_rank(scores, true_pos)] * 4
 
 
+def score_batch_ranks(table, t, direction, candidates, triples):
+    """Raw and filtered rank of the true answer of `t` in `direction`, from
+    score_batch and reference_rank; the filter is `triples`."""
+    s, p, o = t
+    c = len(candidates)
+    if direction == "head":
+        scores = score_batch(table, np.stack([candidates, np.full(c, p), np.full(c, o)], axis=1))
+        known = {xs for xs, xp, xo in triples if (xp, xo) == (p, o)} - {s}
+    else:
+        scores = score_batch(table, np.stack([np.full(c, s), np.full(c, p), candidates], axis=1))
+        known = {xo for xs, xp, xo in triples if (xs, xp) == (s, p)} - {o}
+    true_pos = int(np.searchsorted(candidates, s if direction == "head" else o))
+    return reference_rank(scores, true_pos), reference_rank(scores, true_pos, np.isin(candidates, list(known)))
+
+
+@pytest.mark.parametrize("model", ["transe", "transh", "complex"])
+def test_a_wild_candidate_row_costs_only_its_own_column(model, monkeypatch):
+    # The candidate rows lie within 1e-6 of one row, so a bound widened for
+    # the wild rows (one at 1e6 times the others' norm, one past
+    # SCREEN_NORM_LIMIT) would place almost none of them. Only the wild
+    # columns and exact ties (a duplicated true answer) may be rescored.
+    rng = np.random.default_rng(44)
+    raws = random_graph(rng, n_entities=40, n_relations=3, n_triples=80)
+    vocab, table, triples = build_random_model(rng, raws, model=model, dim=50)
+    table.config = ModelConfig(model=model, dim=50, norm="l2")
+    nodes = table.node_vectors
+    ent = vocab.entity_ids
+    nodes[ent] = rng.normal(size=nodes.shape[1]) + 1e-6 * rng.normal(size=(len(ent), nodes.shape[1]))
+    wild = ent[:2]
+    nodes[wild[0]] *= 1e6
+    nodes[wild[1]] *= 1e11
+    assert 1e6 * np.linalg.norm(nodes[ent[2]]) < SCREEN_NORM_LIMIT < np.linalg.norm(nodes[wild[1]])
+    chunk = np.array([t for t in triples if not np.isin(t, wild).any()][:QUERY_CHUNK])
+    nodes[ent[2]] = nodes[chunk[0, 2]]    # ties the true tail of chunk[0]
+    candidates = candidate_set(vocab)
+    table.node_vectors.flags.writeable = False
+    calls = []
+
+    def recording_score_batch(table, ids):
+        calls.append(np.array(ids))
+        return score_batch(table, ids)
+
+    monkeypatch.setattr("kgeu.evaluator.score_batch", recording_score_batch)
+    directions = ("head", "tail")
+    raw, filt = _chunk_ranks(CandidateScreen(table, candidates), chunk, directions, TripleIndex(triples))
+    monkeypatch.undo()
+    expected, ties = [], 0
+    for k, direction in enumerate(directions):
+        slot = 0 if direction == "head" else 2
+        for i, t in enumerate(chunk):
+            assert (raw[k, i], filt[k, i]) == score_batch_ranks(table, t, direction, candidates, triples)
+            completions = np.repeat(t[None], len(candidates), axis=0)
+            completions[:, slot] = candidates
+            scores = score_batch(table, completions)
+            tied = scores == score_batch(table, t[None])[0]
+            ties += np.count_nonzero(tied) - 1
+            pick = (np.isin(candidates, wild) | tied) & (candidates != t[slot])
+            expected += map(tuple, completions[pick].tolist())
+    rescored = np.concatenate(calls[1:]) if len(calls) > 1 else np.empty((0, 3), dtype=np.int64)
+    assert ties > 0
+    assert sorted(map(tuple, rescored.tolist())) == sorted(expected)
+
+
+@given(
+    st.sampled_from(["transe", "transh", "complex"]),
+    st.integers(min_value=0, max_value=2 ** 32 - 1),
+    st.lists(st.sampled_from([1e-150, 1e-8, 1.0, 1e6, 2.0 ** 31, 2.0 ** 33, 1e150]), min_size=1, max_size=3),
+    st.sampled_from([("head",), ("tail",), ("head", "tail")]),
+    st.sampled_from([1, QUERY_CHUNK + 2]),
+)
+@settings(max_examples=40, deadline=None)
+def test_screened_ranks_equal_score_batch_ranks_at_any_row_scale(model, seed, scales, directions, n):
+    rng = np.random.default_rng(seed)
+    raws = random_graph(rng, n_entities=10, n_relations=2, n_triples=25, property_nodes=True)
+    vocab, table, triples = build_random_model(rng, raws, model=model, dim=3)
+    table.config = ModelConfig(model=model, dim=3, norm="l2")
+    nodes = table.node_vectors
+    nodes *= rng.choice(scales, size=(len(nodes), 1))
+    a, b, c, d = rng.choice(len(nodes), size=4, replace=False)
+    nodes[a] = nodes[b]                                  # duplicated rows
+    nodes[c] = np.nextafter(nodes[d], np.inf)            # rows 1 ulp apart
+    chunk = np.array(triples)[rng.integers(len(triples), size=n)]
+    candidates = candidate_set(vocab)
+    raw, filt = _chunk_ranks(CandidateScreen(table, candidates), chunk, directions, TripleIndex(triples))
+    for k, direction in enumerate(directions):
+        for i, t in enumerate(chunk):
+            assert (raw[k, i], filt[k, i]) == score_batch_ranks(table, t, direction, candidates, triples)
+
+
 def score_batch_mean_ranks(table, triples, candidates):
     """Raw and filtered MeanRank over the head and tail of every triple, from
     score_batch and reference_rank; the filter is `triples` itself."""
-    c = len(candidates)
-    raw, filt = [], []
-    for direction in ("head", "tail"):
-        for t in triples:
-            s, p, o = t
-            if direction == "head":
-                scores = score_batch(table, np.stack([candidates, np.full(c, p), np.full(c, o)], axis=1))
-                known = {xs for xs, xp, xo in triples if (xp, xo) == (p, o)} - {s}
-            else:
-                scores = score_batch(table, np.stack([np.full(c, s), np.full(c, p), candidates], axis=1))
-                known = {xo for xs, xp, xo in triples if (xs, xp) == (s, p)} - {o}
-            true_pos = int(np.searchsorted(candidates, s if direction == "head" else o))
-            raw.append(reference_rank(scores, true_pos))
-            filt.append(reference_rank(scores, true_pos, np.isin(candidates, list(known))))
+    raw, filt = zip(*(score_batch_ranks(table, t, direction, candidates, triples)
+                      for direction in ("head", "tail") for t in triples))
     return float(np.mean(raw)), float(np.mean(filt))
 
 
 def spread_rows(table, rng):
     """Rescale every node row by its own factor in [0.1, 10], so each
-    squared norm moves far from the old one."""
-    return table.node_vectors * rng.uniform(0.1, 10.0, size=(len(table.node_vectors), 1))
+    squared norm moves far from the old one, and the last row 1e4 times
+    further, so the screen finds it wild."""
+    factors = rng.uniform(0.1, 10.0, size=(len(table.node_vectors), 1))
+    factors[-1] *= 1e4
+    return table.node_vectors * factors
+
+
+def assert_fresh_screen_norms(table):
+    """The table's screen norms (squared norms, wild ids and cap) are those
+    of a new table over a copy of its rows, and the last row is wild."""
+    sq, wild, cap = table.screen_norms()
+    nodes = table.node_vectors
+    fresh = EmbeddingTable(table.config, nodes.copy(), table.relation_normals, table.property_ids)
+    assert np.array_equal(sq, np.einsum("ij,ij->i", nodes, nodes))
+    assert np.array_equal(wild, fresh.screen_norms()[1]) and list(wild) == [len(nodes) - 1]
+    assert cap == fresh.screen_norms()[2] == np.sqrt(sq[:-1].max())
 
 
 @pytest.mark.parametrize("model", ["transe", "transh", "complex"])
@@ -386,8 +477,9 @@ def test_evaluate_sees_in_place_changes_to_a_writeable_table(model):
     candidates = candidate_set(vocab)
     before = evaluate(table, triples, vocab, index)
     assert (before.mean_rank_raw, before.mean_rank_filtered) == score_batch_mean_ranks(table, triples, candidates)
+    assert len(table.screen_norms()[1]) == 0
     table.node_vectors[:] = spread_rows(table, rng)  # same array, new values
-    assert np.array_equal(table.sq_norms(), np.einsum("ij,ij->i", table.node_vectors, table.node_vectors))
+    assert_fresh_screen_norms(table)
     after = evaluate(table, triples, vocab, index)
     assert (after.mean_rank_raw, after.mean_rank_filtered) == score_batch_mean_ranks(table, triples, candidates)
     assert after.mean_rank_raw != before.mean_rank_raw
@@ -406,11 +498,12 @@ def test_replacing_node_vectors_of_a_loaded_table_drops_its_cached_norms(tmp_pat
     candidates = candidate_set(vocab)
     before = evaluate(loaded, triples, vocab, index)  # caches the norms of the loaded array
     assert (before.mean_rank_raw, before.mean_rank_filtered) == score_batch_mean_ranks(loaded, triples, candidates)
+    assert len(loaded.screen_norms()[1]) == 0
     for writeable in (False, True):
         other = spread_rows(loaded, rng)
         other.flags.writeable = writeable
         loaded.node_vectors = other
-        assert np.array_equal(loaded.sq_norms(), np.einsum("ij,ij->i", other, other))
+        assert_fresh_screen_norms(loaded)
         after = evaluate(loaded, triples, vocab, index)
         assert (after.mean_rank_raw, after.mean_rank_filtered) == score_batch_mean_ranks(loaded, triples, candidates)
         assert after.mean_rank_raw != before.mean_rank_raw
