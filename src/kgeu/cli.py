@@ -33,7 +33,7 @@ from .models import DIRECTIONS, MODELS, NORMS, SHARE_MODES, ModelConfig, score_c
 from .store import load, save
 from .toy import ToySpec, generate_toy
 from .trainer import TrainConfig, train
-from .vocab import TripleIndex, build_vocabulary, dataset_stats, dump_vocabulary, intern
+from .vocab import TripleIndex, build_vocabulary, dataset_stats, dump_vocabulary, id_array, intern
 
 DEFAULT_DIM = {"transe": 200, "transh": 200, "complex": 100}
 DEFAULT_LR = {"transe": 0.001, "transh": 0.001, "complex": 0.01}
@@ -147,9 +147,7 @@ def _train_config(args) -> TrainConfig:
 
 def _run_one_seed(payload) -> tuple[int, str, int]:
     """Train one seed; top-level so a process pool can pickle it."""
-    raws, unify, config, out_path, log_path = payload
-    vocab = build_vocabulary(raws, unify=unify)
-    triples = intern(raws, vocab).triples
+    triples, vocab, config, out_path, log_path = payload
     result = train(triples, vocab, config)
     save(result.table, vocab, config, out_path)
     if log_path:
@@ -162,6 +160,8 @@ def cmd_train(args) -> int:
     if dropped:
         print(f"literals-dropped={dropped}", file=sys.stderr)
     base = _train_config(args)
+    vocab = build_vocabulary(raws, unify=args.unify)
+    triples = id_array(intern(raws, vocab).triples)      # one array for every seed's job
 
     out = Path(args.out)
     seeds = list(range(args.seed, args.seed + args.seeds))
@@ -169,7 +169,7 @@ def cmd_train(args) -> int:
     for seed in seeds:
         archive = out.with_name(f"{out.name}.s{seed}") if args.seeds > 1 else out
         log_path = str(archive) + ".log" if args.log else None
-        jobs.append((raws, args.unify, replace(base, seed=seed), str(archive), log_path))
+        jobs.append((triples, vocab, replace(base, seed=seed), str(archive), log_path))
 
     workers = _worker_count(len(jobs))
     if workers > 1:

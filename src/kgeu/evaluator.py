@@ -141,13 +141,15 @@ class EvalReport:
 
 
 def _stats(ranks_raw: np.ndarray, ranks_filt: np.ndarray, k: int) -> DirectionStats:
-    raw = ranks_raw.astype(np.float64)
-    filt = ranks_filt.astype(np.float64)
+    """Means as integer sums and counts over n, rounded once: the bits of
+    the float64 means while sums stay below 2^53, where their partial sums
+    are exact."""
+    n = len(ranks_raw)
     return DirectionStats(
-        mean_rank_raw=float(raw.mean()),
-        mean_rank_filtered=float(filt.mean()),
-        hits_raw=float((raw <= k).mean() * 100.0),
-        hits_filtered=float((filt <= k).mean() * 100.0),
+        mean_rank_raw=int(ranks_raw.sum()) / n,
+        mean_rank_filtered=int(ranks_filt.sum()) / n,
+        hits_raw=int(np.count_nonzero(ranks_raw <= k)) / n * 100.0,
+        hits_filtered=int(np.count_nonzero(ranks_filt <= k)) / n * 100.0,
     )
 
 

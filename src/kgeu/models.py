@@ -513,8 +513,6 @@ class SparseGrad:
     unique dense indices into relation_normals (transh only, else empty).
     """
 
-    width: int
-    dim: int
     node_ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     node_grads: np.ndarray | None = None
     normal_slots: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
@@ -564,10 +562,9 @@ class ScatterPlan:
     `sign` is None). Terms are in the stable order of their ids, so each
     id's terms keep their input order, and np.add.reduceat sums them in
     that order. `blocks` cut the terms into runs of about BLOCK_BYTES of
-    rows that never split an id: (a, b, s0, s1, starts, reg) sums terms
-    a..b-1 into result rows s0..s1-1, whose segments begin at `starts`
-    (relative to a); reg is None or (positions relative to a, ids) of the
-    terms whose row is node_vectors[id] instead of rows[src].
+    rows that never split an id: (a, b, s0, s1, starts) sums terms a..b-1
+    into result rows s0..s1-1, whose segments begin at `starts` (relative
+    to a).
     """
 
     ids: np.ndarray        # unique ascending
@@ -576,7 +573,7 @@ class ScatterPlan:
     sign: np.ndarray | None
     blocks: list
 
-    def sum(self, rows: np.ndarray, coef: np.ndarray, nodes: np.ndarray | None = None) -> np.ndarray:
+    def sum(self, rows: np.ndarray, coef: np.ndarray) -> np.ndarray:
         """One row per id. Only a block's terms are gathered and scaled at a
         time, so no array of all of them is built, and the result is
         bitwise that of one reduceat over all of them."""
@@ -584,30 +581,28 @@ class ScatterPlan:
         if self.sign is not None:
             scale *= self.sign
         out = np.empty((len(self.ids), rows.shape[1]), dtype=rows.dtype)
-        for a, b, s0, s1, starts, reg in self.blocks:
+        for a, b, s0, s1, starts in self.blocks:
             terms = rows[self.src[a:b]]
-            if reg is not None:
-                terms[reg[0]] = nodes[reg[1]]
             terms *= scale[a:b, None]
             np.add.reduceat(terms, starts, axis=0, out=out[s0:s1])
         return out
 
 
-def _scatter_plans(keys: np.ndarray, n_keys: int, n_batches: int, m: int, src: np.ndarray,
+def _scatter_plans(keys: np.ndarray, n_keys: int, n_batches: int, src: np.ndarray,
                    cidx: np.ndarray, sign: np.ndarray | None, row_bytes: int) -> Iterator[ScatterPlan]:
     """Yield the ScatterPlan of each of `n_batches` batches, from one stable
     order of the terms' keys batch * n_keys + id, id < n_keys.
 
-    Terms m*i .. m*i + m-1 are batch i's, in its summation order; the j-th
-    of them has row src[j], coefficient index cidx[j] and sign sign[j].
-    Any terms after those (complex's regulariser) come in their batches'
-    summation order, take their row from node_vectors and use entry m of
-    cidx and sign.
+    Each batch has m = len(src) terms: keys[m*i : m*i + m] are batch i's,
+    in its summation order, and its j-th term has row src[j], coefficient
+    index cidx[j] and sign sign[j].
     """
     # The default sort of the unique keys key * 2^s + term (2^s < 2 len(keys)),
     # several times faster than a stable argsort. In int64 since train()'s
     # TripleIndex keeps ids below 2^21: a window of 2 or more batches has < 2^14
-    # of them and <= 2 * PLAN_TERMS terms; a lone batch fits under 2^41 terms.
+    # of them and <= PLAN_TERMS = 2^16 terms, so its sort keys stay below
+    # 2^(14+21+16); a lone batch's stay below 2^(21+s), so up to 2^41 terms fit.
+    m = len(src)
     s = (len(keys) - 1).bit_length()
     order = np.left_shift(keys, s)
     order |= np.arange(len(keys))
@@ -618,47 +613,29 @@ def _scatter_plans(keys: np.ndarray, n_keys: int, n_batches: int, m: int, src: n
     new_id[0] = True
     np.not_equal(keys[1:], keys[:-1], out=new_id[1:])
     starts = new_id.nonzero()[0]
-    from_nodes = (order >= n_batches * m).nonzero()[0]
     term = np.remainder(order, m, out=order)
-    term[from_nodes] = m
     src, cidx = src[term], cidx[term]
     sign = None if sign is None else sign[term]
-    t_edges = keys.searchsorted(np.arange(n_batches + 1) * n_keys)
-    s_edges = starts.searchsorted(t_edges)
-    r_edges = from_nodes.searchsorted(t_edges)
+    s_edges = starts.searchsorted(np.arange(n_batches + 1) * m)
     seg_ids = keys[starts] % n_keys
-    seg_starts = starts - t_edges[:-1].repeat(s_edges[1:] - s_edges[:-1])   # relative to the batch
-    reg_pos = from_nodes - t_edges[:-1].repeat(r_edges[1:] - r_edges[:-1])
-    reg_ids = keys[from_nodes] % n_keys
-    del keys, new_id, starts, from_nodes, order, term    # not held while the window's steps run
+    seg_starts = starts % m                     # relative to the batch
+    del keys, new_id, starts, order, term       # not held while the window's steps run
     step = max(1, BLOCK_BYTES // row_bytes)
-    for t0, t1, s0, s1, r0, r1 in zip(*(e.tolist() for e in (
-            t_edges[:-1], t_edges[1:], s_edges[:-1], s_edges[1:], r_edges[:-1], r_edges[1:]))):
+    for t0, s0, s1 in zip(range(0, n_batches * m, m), s_edges[:-1].tolist(), s_edges[1:].tolist()):
         seg = seg_starts[s0:s1]
-        reg = (reg_pos[r0:r1], reg_ids[r0:r1]) if r1 > r0 else None
-        if t1 - t0 <= step:
-            blocks = [(0, t1 - t0, 0, s1 - s0, seg, reg)]
-        else:
-            blocks = _blocks(seg, t1 - t0, step, reg)
-        yield ScatterPlan(seg_ids[s0:s1], src[t0:t1], cidx[t0:t1], None if sign is None else sign[t0:t1],
-                          blocks)
+        blocks = [(0, m, 0, s1 - s0, seg)] if m <= step else _blocks(seg, m, step)
+        yield ScatterPlan(seg_ids[s0:s1], src[t0:t0 + m], cidx[t0:t0 + m],
+                          None if sign is None else sign[t0:t0 + m], blocks)
 
 
-def _blocks(seg: np.ndarray, n: int, step: int, reg: tuple | None) -> list:
+def _blocks(seg: np.ndarray, n: int, step: int) -> list:
     """ScatterPlan.blocks of n terms whose segments begin at `seg`: block
     k begins with the segment holding term k*step."""
     first = np.unique(np.searchsorted(seg, np.arange(0, n, step), side="right") - 1)
     edges = seg[first].tolist() + [n]
     first = first.tolist() + [len(seg)]
-    blocks = []
-    for a, b, u0, u1 in zip(edges[:-1], edges[1:], first[:-1], first[1:]):
-        block_reg = None
-        if reg is not None:
-            lo, hi = np.searchsorted(reg[0], (a, b)).tolist()
-            if hi > lo:
-                block_reg = (reg[0][lo:hi] - a, reg[1][lo:hi])
-        blocks.append((a, b, u0, u1, seg[u0:u1] - a, block_reg))
-    return blocks
+    return [(a, b, u0, u1, seg[u0:u1] - a)
+            for a, b, u0, u1 in zip(edges[:-1], edges[1:], first[:-1], first[1:])]
 
 
 @dataclass(slots=True)
@@ -682,30 +659,27 @@ def _plan_window(table: EmbeddingTable, pos: np.ndarray, neg: np.ndarray, b: int
     row_bytes = table.node_vectors.itemsize
 
     # Each batch's node terms in the order pos s, p, o, neg s, p, o, each
-    # in batch order, then complex's regulariser terms in _pair_reg_ids order.
+    # in batch order.
     blocks, signs = ROLE_ROWS[cfg.model]
     n_ids = len(table.node_vectors)
     # a new array: for b == 1 the reshape is a view of `both`, read again below
     keys = both.transpose(0, 1, 3, 2).reshape(n_batches, 6 * b) + batch_no * n_ids
-    keys, reg = keys.ravel(), None
     row = np.arange(2 * b).reshape(2, 1, b)    # each triple's row in [pos; neg]
-    # entry 6b: a regulariser term, its row of node_vectors times coef[2b]
-    src = np.concatenate([(2 * b * np.array(blocks)[:, None] + row).ravel(), [0]])
-    cidx = np.concatenate([(row + np.zeros((3, 1), dtype=np.int64)).ravel(), [2 * b]])
-    sign = np.concatenate([(np.array(signs)[:, None] + np.zeros((2, 1, b))).ravel(), [1.0]])
-    if cfg.model == "complex" and cfg.complex_reg > 0.0:
-        ids6, first = _pair_reg_ids(pos, neg)
-        keys = np.concatenate([keys, np.nonzero(first)[0] // b * n_ids + ids6[first]])
-        reg = (ids6.reshape(n_batches, b, 6), first.reshape(n_batches, b, 6))
-    node_plans = _scatter_plans(keys, n_ids, n_batches, 6 * b, src, cidx, sign, row_bytes * cfg.width)
+    src = (2 * b * np.array(blocks)[:, None] + row).ravel()
+    cidx = (row + np.zeros((3, 1), dtype=np.int64)).ravel()
+    sign = (np.array(signs)[:, None] + np.zeros((2, 1, b))).ravel()
+    node_plans = _scatter_plans(keys.ravel(), n_ids, n_batches, src, cidx, sign, row_bytes * cfg.width)
 
-    normal_plans = itertools.repeat(None)
+    normal_plans = reg = itertools.repeat(None)
     if cfg.model == "transh":
         slots = table.normal_slot(both[..., 1]).reshape(n_batches, 2 * b)
         n_props = len(table.property_ids)
-        normal_plans = _scatter_plans((slots + batch_no * n_props).ravel(), n_props, n_batches, 2 * b,
+        normal_plans = _scatter_plans((slots + batch_no * n_props).ravel(), n_props, n_batches,
                                       np.arange(2 * b), np.arange(2 * b), None, row_bytes * cfg.dim)
-    return map(PairPlan, node_plans, normal_plans, itertools.repeat(None) if reg is None else zip(*reg))
+    if cfg.model == "complex" and cfg.complex_reg > 0.0:
+        ids6, first = _pair_reg_ids(pos, neg)
+        reg = zip(ids6.reshape(n_batches, b, 6), first.reshape(n_batches, b, 6))
+    return map(PairPlan, node_plans, normal_plans, reg)
 
 
 def plan_pairs(table: EmbeddingTable, pos: np.ndarray, neg: np.ndarray, batch: int):
@@ -744,7 +718,9 @@ def pair_grad_batch(
     times the squared L2 norm of each distinct row the pair touches.
     Returns the sparse gradient and the losses. Rows shared between roles
     or between the two triples accumulate every contribution they receive,
-    in the order pos s, p, o, neg s, p, o, then complex's regulariser.
+    in the order pos s, p, o, neg s, p, o; complex's regulariser is then
+    added to each row's sum as one term, 2·complex_reg·count·v for a row v
+    that `count` of the batch's pairs touch.
     `plan` is the batch's PairPlan from plan_pairs; without one, the batch
     is planned here, after the forward pass.
     """
@@ -765,8 +741,7 @@ def pair_grad_batch(
             losses = _softplus(x)
             losses = losses[:b] + losses[b:]
             s = _sigmoid(x)
-            # the last coefficient is that of the regulariser terms
-            dscore = np.concatenate([-s[:b], s[b:], [2.0 * cfg.complex_reg]])
+            dscore = np.concatenate([-s[:b], s[b:]])
             if plan.reg is not None:
                 ids6, first = plan.reg
                 sq = np.add.reduce(nodes[ids6] ** 2, axis=-1)
@@ -777,7 +752,10 @@ def pair_grad_batch(
             act = (viol > 0.0).astype(np.float64)
             # dL/dscore(pos) = -1, dL/dscore(neg) = +1 where the hinge is active
             dscore = np.concatenate([-act, act])
-    grad = SparseGrad(cfg.width, cfg.dim, plan.nodes.ids, plan.nodes.sum(rows, dscore, nodes))
+    grad = SparseGrad(plan.nodes.ids, plan.nodes.sum(rows, dscore))
+    if plan.reg is not None:    # the regulariser's 2·complex_reg·v, once per pair touching the row
+        count = np.bincount(grad.node_ids.searchsorted(ids6[first]), minlength=len(grad.node_ids))
+        grad.node_grads += (2.0 * cfg.complex_reg * count)[:, None] * nodes[grad.node_ids]
     if grad_w is not None:
         grad.normal_slots, grad.normal_grads = plan.normals.ids, plan.normals.sum(grad_w, dscore)
     return grad, losses

@@ -15,7 +15,7 @@ from kgeu import (
     score_batch,
 )
 from kgeu.evaluator import _chunk_ranks
-from kgeu.models import CandidateScreen, _pair_reg_ids, _sigmoid
+from kgeu.models import CandidateScreen, _sigmoid
 
 
 def mini_bilingual(entity_links: bool = False) -> list[RawTriple]:
@@ -192,14 +192,14 @@ def _grad_row(keys: np.ndarray, rows: np.ndarray | None, key: int, width: int) -
     return rows[i]
 
 
-def node_grad(grad, id_: int) -> np.ndarray:
-    """Gradient row of node `id_` in a SparseGrad; zeros if untouched."""
-    return _grad_row(grad.node_ids, grad.node_grads, id_, grad.width)
+def node_grad(table, grad, id_: int) -> np.ndarray:
+    """Gradient row of node `id_` in a SparseGrad of `table`; zeros if untouched."""
+    return _grad_row(grad.node_ids, grad.node_grads, id_, table.config.width)
 
 
-def normal_grad(grad, slot: int) -> np.ndarray:
-    """Gradient of transh normal `slot` in a SparseGrad; zeros if untouched."""
-    return _grad_row(grad.normal_slots, grad.normal_grads, slot, grad.dim)
+def normal_grad(table, grad, slot: int) -> np.ndarray:
+    """Gradient of transh normal `slot` in a SparseGrad of `table`; zeros if untouched."""
+    return _grad_row(grad.normal_slots, grad.normal_grads, slot, table.config.dim)
 
 
 def reference_pair_grad(table, pos: np.ndarray, neg: np.ndarray):
@@ -207,8 +207,10 @@ def reference_pair_grad(table, pos: np.ndarray, neg: np.ndarray):
     and of the negative triple gets its own (B, width) array of
     coefficient x score-gradient products; the six are concatenated with
     their ids in that role order and summed with one stable argsort and
-    one np.add.reduceat. Returns (node_ids, node_grads, normal_slots,
-    normal_grads); the last two are None except for transh."""
+    one np.add.reduceat. Then complex's regulariser adds 2·complex_reg·count·v
+    to each row v, count being the number of pairs that touch v in any role.
+    Returns (node_ids, node_grads, normal_slots, normal_grads); the
+    last two are None except for transh."""
     cfg = table.config
     nodes = table.node_vectors
 
@@ -256,11 +258,11 @@ def reference_pair_grad(table, pos: np.ndarray, neg: np.ndarray):
         cp, cn = -act, act
     ids = [pos[:, 0], pos[:, 1], pos[:, 2], neg[:, 0], neg[:, 1], neg[:, 2]]
     rows = [cp * r for r in p_rows] + [cn * r for r in n_rows]
-    if cfg.model == "complex" and cfg.complex_reg > 0.0:
-        ids6, first = _pair_reg_ids(pos, neg)
-        ids.append(ids6[first])
-        rows.append(2.0 * cfg.complex_reg * nodes[ids6[first]])
     node_ids, node_grads = scatter(np.concatenate(ids), np.concatenate(rows))
+    if cfg.model == "complex" and cfg.complex_reg > 0.0:
+        touched = [set(p) | set(n) for p, n in zip(pos.tolist(), neg.tolist())]
+        count = np.array([sum(i in pair for pair in touched) for i in node_ids.tolist()])
+        node_grads += (2.0 * cfg.complex_reg * count)[:, None] * nodes[node_ids]
     if cfg.model != "transh":
         return node_ids, node_grads, None, None
     slots = np.concatenate([table.normal_slot(pos[:, 1]), table.normal_slot(neg[:, 1])])

@@ -24,7 +24,7 @@ from kgeu import (
     score_batch,
     summarize_reports,
 )
-from kgeu.evaluator import QUERY_CHUNK, _chunk_ranks
+from kgeu.evaluator import QUERY_CHUNK, DirectionStats, _chunk_ranks, _stats
 from kgeu.models import SCREEN_NORM_LIMIT, CandidateScreen, EmbeddingTable
 from conftest import oracle_score, random_graph, rank, reference_rank
 
@@ -565,3 +565,21 @@ def test_eval_config_invariants():
         EvalConfig(candidate_policy="everything")
     with pytest.raises(InvalidConfigError):
         EvalConfig(directions=())
+
+
+def test_stats_equal_the_float_mean_formula_bitwise():
+    # integer sums and counts give the bits of the float64 means they replaced
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        n = int(rng.integers(1, 5_001))
+        top = int(rng.choice([10, 1_000, 2**31]))
+        raw = rng.integers(1, top + 1, n)
+        filt = np.maximum(1, raw - rng.integers(0, 3, n))
+        k = int(rng.integers(1, 20))
+        r, f = raw.astype(np.float64), filt.astype(np.float64)
+        want = DirectionStats(float(r.mean()), float(f.mean()), float((r <= k).mean() * 100.0),
+                              float((f <= k).mean() * 100.0))
+        got = _stats(raw, filt, k)
+        assert all(type(v) is float for v in vars(got).values())
+        assert np.array_equal(np.array(list(vars(got).values())).view(np.int64),
+                              np.array(list(vars(want).values())).view(np.int64))

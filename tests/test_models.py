@@ -442,11 +442,11 @@ def test_batch_gradient_equals_sum_of_pairs():
         for i, (p, n) in enumerate(pairs):
             assert reference_pair_loss(table, pos[i : i + 1], neg[i : i + 1])[0] == pytest.approx(batch_losses[i])
         for id_ in batch_grad.node_ids:
-            summed = sum(node_grad(gradient(table, p, n), id_) for p, n in pairs)
-            assert np.allclose(node_grad(batch_grad, id_), summed, atol=1e-12)
+            summed = sum(node_grad(table, gradient(table, p, n), id_) for p, n in pairs)
+            assert np.allclose(node_grad(table, batch_grad, id_), summed, atol=1e-12)
         for slot in batch_grad.normal_slots:
-            summed = sum(normal_grad(gradient(table, p, n), slot) for p, n in pairs)
-            assert np.allclose(normal_grad(batch_grad, slot), summed, atol=1e-12)
+            summed = sum(normal_grad(table, gradient(table, p, n), slot) for p, n in pairs)
+            assert np.allclose(normal_grad(table, batch_grad, slot), summed, atol=1e-12)
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -473,3 +473,37 @@ def test_pair_losses_equal_reference_pair_loss(model, norm, complex_reg):
     want = reference_pair_loss(table, pos, neg)
     assert np.count_nonzero(want) > batch // 4
     assert np.all(np.abs(losses - want) <= 1e-12 * np.abs(want))
+
+
+def test_complex_batch_gradient_with_regulariser_matches_finite_differences():
+    # the collisions of test_pair_losses_equal_reference_pair_loss (s == o,
+    # property ids and the predicate's own row as subject or object) plus rows
+    # shared across pairs: the regulariser counts a row once per pair whose
+    # distinct ids hold it, however many roles it plays there
+    rng = np.random.default_rng(16)
+    table = random_scoring_table(rng, "complex", dim=3, norm="l2", n_ids=8, n_props=3)
+    table.config = ModelConfig(model="complex", dim=3, complex_reg=1e-2)
+    batch = 16
+    pos = np.stack([rng.integers(0, 8, batch), rng.choice(table.property_ids, batch),
+                    rng.integers(0, 8, batch)], axis=1)
+    pos[:3, 2] = pos[:3, 0]
+    pos[3:6, 0] = rng.choice(table.property_ids, 3)
+    pos[6:9, 2] = rng.choice(table.property_ids, 3)
+    pos[9:11, 0] = pos[9:11, 1]
+    pos[11:13, 2] = pos[11:13, 1]
+    neg = pos.copy()
+    col = np.where(rng.random(batch) < 0.5, 0, 2)
+    neg[np.arange(batch), col] = rng.integers(0, 8, batch)
+    neg[:2] = pos[:2, [2, 1, 0]]                # reversed s == o pairs keep their one row
+    grad, _ = pair_grad_batch(table, pos, neg)
+    h = 1e-5
+    node_fd = np.zeros_like(grad.node_grads)
+    for j, id_ in enumerate(grad.node_ids):
+        for k in range(table.config.width):
+            t2 = table.copy()
+            t2.node_vectors[id_, k] += h
+            up = reference_pair_loss(t2, pos, neg).sum()
+            t2.node_vectors[id_, k] -= 2 * h
+            down = reference_pair_loss(t2, pos, neg).sum()
+            node_fd[j, k] = (up - down) / (2 * h)
+    assert max_rel_err(grad.node_grads, node_fd) < 1e-6

@@ -109,7 +109,7 @@ def make_table_and_adam(dim=4, n_ids=5):
 def test_adam_zero_gradient_advances_step_only():
     table, adam = make_table_and_adam()
     before = table.node_vectors.copy()
-    adam_step(table, adam, SparseGrad(table.config.width, table.config.dim), learning_rate=0.1)
+    adam_step(table, adam, SparseGrad(), learning_rate=0.1)
     assert adam.step == 1
     assert np.array_equal(table.node_vectors, before)
 
@@ -119,7 +119,7 @@ def test_adam_first_step_closed_form():
     g = np.zeros((1, table.config.width))
     g[0, 0] = 0.37
     before = table.node_vectors[2, 0]
-    grad = SparseGrad(table.config.width, table.config.dim, np.array([2]), g)
+    grad = SparseGrad(np.array([2]), g)
     adam_step(table, adam, grad, learning_rate=0.01)
     expected_delta = -0.01 * 0.37 / (abs(0.37) + adam.eps)
     assert table.node_vectors[2, 0] - before == pytest.approx(expected_delta, rel=1e-9)
@@ -130,7 +130,7 @@ def test_adam_untouched_rows_and_moments_unchanged():
     table, adam = make_table_and_adam()
     before = table.node_vectors.copy()
     g = np.ones((1, table.config.width))
-    grad = SparseGrad(table.config.width, table.config.dim, np.array([1]), g)
+    grad = SparseGrad(np.array([1]), g)
     for _ in range(10):
         adam_step(table, adam, grad, learning_rate=0.02)
     touched = np.zeros(len(before), dtype=bool)
@@ -165,7 +165,7 @@ def test_adam_matches_scalar_reference():
     for g in g_seq:
         rows = np.zeros((1, table.config.width))
         rows[0, 0] = g
-        adam_step(table, adam, SparseGrad(table.config.width, table.config.dim, np.array([0]), rows), 0.03)
+        adam_step(table, adam, SparseGrad(np.array([0]), rows), 0.03)
     ref_theta, _ = reference_adam_scalar(g_seq, 0.03)
     assert table.node_vectors[0, 0] == pytest.approx(ref_theta, rel=1e-12)
 
@@ -180,7 +180,7 @@ def test_adam_bitwise_equal_to_reference_formula():
     for step in range(1, 6):
         ids = np.sort(rng.choice(len(params), size=15, replace=False))
         grads = rng.normal(size=(15, table.config.width))
-        adam_step(table, adam, SparseGrad(table.config.width, table.config.dim, ids, grads), lr)
+        adam_step(table, adam, SparseGrad(ids, grads), lr)
         m[ids] = b1 * m[ids] + (1.0 - b1) * grads
         v[ids] = b2 * v[ids] + (1.0 - b2) * grads ** 2
         m_hat = m[ids] / (1.0 - b1 ** step)
@@ -195,7 +195,7 @@ def test_adam_bounded_step_under_constant_gradient():
     assert abs(deltas[-1]) == pytest.approx(0.01, rel=1e-4)
     table, adam = make_table_and_adam()
     rows = np.full((1, table.config.width), -2.5)
-    grad = SparseGrad(table.config.width, table.config.dim, np.array([0]), rows)
+    grad = SparseGrad(np.array([0]), rows)
     prev = table.node_vectors[0].copy()
     for _ in range(5000):
         adam_step(table, adam, grad, 0.01)
@@ -207,7 +207,7 @@ def test_adam_bounded_step_under_constant_gradient():
 def test_adam_rejects_non_finite():
     table, adam = make_table_and_adam()
     rows = np.full((1, table.config.width), np.inf)
-    grad = SparseGrad(table.config.width, table.config.dim, np.array([0]), rows)
+    grad = SparseGrad(np.array([0]), rows)
     with pytest.raises(NonFiniteUpdateError):
         adam_step(table, adam, grad, 0.01)
 
@@ -368,9 +368,9 @@ def per_batch_training(triples, vocab: kgeu.Vocabulary, config: TrainConfig):
 def test_planned_epochs_equal_per_batch_steps(tmp_path, monkeypatch, model, norm, complex_reg, unify, negatives,
                                               batch_size):
     # 30 triples: in batches of 7, every epoch ends in a ragged batch of 2.
-    # train() plans two batches per window in blocks of 10 terms, so windows,
-    # blocks and regulariser rows are all cut; the per-batch loop plans one
-    # batch at a time in full-size blocks. Archive bytes and losses must agree.
+    # train() plans two batches per window in blocks of 10 terms, so windows
+    # and blocks are both cut; the per-batch loop plans one batch at a time
+    # in full-size blocks. Archive bytes and losses must agree.
     # Batches of one pair are the case where reshaping the planner's ids
     # needs no copy, so a plan must not write into its id arrays.
     raws = random_graph(np.random.default_rng(8), n_entities=10, n_relations=3, n_triples=30, property_nodes=True)
