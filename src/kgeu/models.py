@@ -25,7 +25,8 @@ a positive/negative pair touches, and are checked against central finite
 differences in the test suite. What a batch's gradient sums need from its
 ids alone (the stable order of their terms, segments and blocks) is a
 `PairPlan`, which `plan_pairs` builds for many batches of an epoch at once,
-so a training step only gathers rows, scores, scales and sums.
+so a training step only gathers rows, scores, scales and sums; it scores
+its pairs one cache-sized block of rows at a time (`_forward_pairs`).
 """
 
 import itertools
@@ -690,9 +691,10 @@ def plan_pairs(table: EmbeddingTable, pos: np.ndarray, neg: np.ndarray, batch: i
     Full runs are planned a window of about PLAN_TERMS terms at a time,
     before the window's first step. A run alone in its window gains nothing
     from that, and its plan, made ahead of the step, would sit in the heap
-    that the step's large row arrays then come from: planned that way, the
-    full batches of `train-desk` raised its peak RSS by about a tenth. So
-    such a run, and a short last run, are planned after their forward pass.
+    that the step's gradient rows then come from: planned that way, the
+    full batches of `train-desk` raise its peak RSS by about 9%, even with
+    the forward pass run block by block. So such a run, and a short last
+    run, are planned after their forward pass.
     """
     n = len(pos)
     full = n - n % batch
@@ -705,6 +707,40 @@ def plan_pairs(table: EmbeddingTable, pos: np.ndarray, neg: np.ndarray, batch: i
             yield None
     if full < n:
         yield None
+
+
+def _forward_pairs(table: EmbeddingTable, both: np.ndarray):
+    """_forward(grad=True) of the (n, 3) id triples `both`, one block of
+    about BLOCK_BYTES of rows at a time.
+
+    Each block gathers its own role rows (and transh normals) and writes its
+    scores, gradient rows and grad_w into arrays of _forward's layout for
+    all n triples, so those are the only arrays that grow with n. Every op
+    in _forward works row by row, so the results are bitwise those of one
+    call over all n; a batch that fits in one block returns that call's
+    arrays.
+    """
+    cfg = table.config
+    nodes = table.node_vectors
+    n = len(both)
+    step = max(1, BLOCK_BYTES // (nodes.itemsize * cfg.width))
+    slots = table.normal_slot(both[:, 1]) if cfg.model == "transh" else None
+    if n > step:
+        parts = max(ROLE_ROWS[cfg.model][0]) + 1
+        sc, rows = np.empty(n), np.empty((parts, n, cfg.width))
+        grad_w = None if slots is None else np.empty((n, cfg.dim))
+    for r0 in range(0, n, step):
+        ids = both[r0:r0 + step]
+        w = None if slots is None else table.relation_normals[slots[r0:r0 + step]]
+        s, g, gw = _forward(cfg, lambda k: nodes[ids[:, k]], w, grad=True)
+        if n <= step:
+            return s, g, gw
+        r1 = r0 + len(ids)
+        sc[r0:r1] = s
+        rows[:, r0:r1] = g.reshape(parts, len(ids), cfg.width)
+        if gw is not None:
+            grad_w[r0:r1] = gw
+    return sc, rows.reshape(parts * n, cfg.width), grad_w
 
 
 def pair_grad_batch(
@@ -727,12 +763,8 @@ def pair_grad_batch(
     cfg = table.config
     nodes = table.node_vectors
     b = len(pos)
-    both = np.concatenate([pos, neg])
     with np.errstate(over="ignore", invalid="ignore"):  # train() rejects a non-finite loss
-        w = None
-        if cfg.model == "transh":
-            w = table.relation_normals[table.normal_slot(both[:, 1])]
-        sc, rows, grad_w = _forward(cfg, lambda k: nodes[both[:, k]], w, grad=True)
+        sc, rows, grad_w = _forward_pairs(table, np.concatenate([pos, neg]))
         if plan is None:
             (plan,) = _plan_window(table, pos, neg, b)
         sp, sn = sc[:b], sc[b:]
@@ -742,9 +774,11 @@ def pair_grad_batch(
             losses = losses[:b] + losses[b:]
             s = _sigmoid(x)
             dscore = np.concatenate([-s[:b], s[b:]])
-            if plan.reg is not None:
+            if plan.reg is not None:    # each touched row's squared norm, looked up per pair
                 ids6, first = plan.reg
-                sq = np.add.reduce(nodes[ids6] ** 2, axis=-1)
+                touched = nodes[plan.nodes.ids]
+                at = plan.nodes.ids.searchsorted(ids6)
+                sq = np.add.reduce(touched ** 2, axis=-1)[at]
                 losses = losses + cfg.complex_reg * np.add.reduce(sq * first, axis=1)
         else:
             viol = cfg.margin - sp + sn
@@ -754,8 +788,8 @@ def pair_grad_batch(
             dscore = np.concatenate([-act, act])
     grad = SparseGrad(plan.nodes.ids, plan.nodes.sum(rows, dscore))
     if plan.reg is not None:    # the regulariser's 2·complex_reg·v, once per pair touching the row
-        count = np.bincount(grad.node_ids.searchsorted(ids6[first]), minlength=len(grad.node_ids))
-        grad.node_grads += (2.0 * cfg.complex_reg * count)[:, None] * nodes[grad.node_ids]
+        count = np.bincount(at[first], minlength=len(grad.node_ids))
+        grad.node_grads += (2.0 * cfg.complex_reg * count)[:, None] * touched
     if grad_w is not None:
         grad.normal_slots, grad.normal_grads = plan.normals.ids, plan.normals.sum(grad_w, dscore)
     return grad, losses

@@ -125,13 +125,15 @@ class AdamState:
 
     def _update(self, params: np.ndarray, m: np.ndarray, v: np.ndarray,
                 ids: np.ndarray, grads: np.ndarray, lr: float) -> None:
-        """Adam on rows `ids`: each of m, v and params is gathered and
-        scattered once; the arithmetic is the textbook order,
+        """Adam on rows `ids` (unique ascending): each of m, v and params is
+        gathered and scattered once, or, when `ids` is every row, updated
+        where it is; the arithmetic is the textbook order,
         p -= lr * m_hat / (sqrt(v_hat) + eps), done in place."""
         b1, b2 = self.beta1, self.beta2
+        whole = len(ids) == len(params)
         # overflow/invalid surface as non-finite params and raise below
         with np.errstate(invalid="ignore", over="ignore"):
-            mi, vi, pi = m[ids], v[ids], params[ids]
+            mi, vi, pi = (m, v, params) if whole else (m[ids], v[ids], params[ids])
             g = np.multiply(grads, 1.0 - b1)
             mi *= b1
             mi += g                                   # b1 * m + (1 - b1) * g
@@ -139,16 +141,18 @@ class AdamState:
             g *= 1.0 - b2
             vi *= b2
             vi += g                                   # b2 * v + (1 - b2) * g**2
-            m[ids] = mi
-            v[ids] = vi
-            mi /= 1.0 - b1 ** self.step               # m_hat
-            vi /= 1.0 - b2 ** self.step               # v_hat
+            if not whole:
+                m[ids] = mi
+                v[ids] = vi
+            mi = np.divide(mi, 1.0 - b1 ** self.step, out=None if whole else mi)    # m_hat
+            vi = np.divide(vi, 1.0 - b2 ** self.step, out=g)                          # v_hat
             np.sqrt(vi, out=vi)
             vi += self.eps
             mi *= lr
             mi /= vi
             pi -= mi
-            params[ids] = pi
+            if not whole:
+                params[ids] = pi
         if not np.isfinite(pi).all():
             raise NonFiniteUpdateError()
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import kgeu.models
 from kgeu import (
     EmbeddingTable,
     InvalidConfigError,
@@ -13,7 +14,7 @@ from kgeu import (
     score_candidates,
 )
 from kgeu.evaluator import QUERY_CHUNK
-from kgeu.models import BLOCK_BYTES, DIRECTIONS, MODELS, NORMS, pair_grad_batch, renormalize_entities
+from kgeu.models import BLOCK_BYTES, DIRECTIONS, MODELS, NORMS, _pair_reg_ids, pair_grad_batch, renormalize_entities
 from conftest import gradient, node_grad, normal_grad, reference_pair_grad, reference_pair_loss, score
 
 
@@ -399,31 +400,54 @@ def test_gradient_matches_finite_differences(model):
     assert worst < 1e-4
 
 
+def random_pairs(rng, table, batch):
+    """`batch` positive/negative pairs over ids 0..34 of `table`, most of
+    them with its first property id as predicate."""
+    p = np.where(rng.random(batch) < 0.1, rng.choice(table.property_ids, batch), table.property_ids[0])
+    pos = np.stack([rng.integers(0, 35, batch), p, rng.integers(0, 35, batch)], axis=1)
+    neg = pos.copy()
+    col = np.where(rng.random(batch) < 0.5, 0, 2)
+    neg[np.arange(batch), col] = rng.integers(0, 35, batch)
+    return pos, neg
+
+
+def assert_bitwise_six_block_scatter(table, pos, neg):
+    """pair_grad_batch's gradient is bitwise reference_pair_grad's; returns its losses."""
+    grad, losses = pair_grad_batch(table, pos, neg)
+    node_ids, node_grads, slots, normal_grads = reference_pair_grad(table, pos, neg)
+    assert np.array_equal(grad.node_ids, node_ids)
+    assert np.array_equal(grad.node_grads.view(np.int64), node_grads.view(np.int64))
+    if table.config.model == "transh":
+        assert np.array_equal(grad.normal_slots, slots)
+        assert np.array_equal(grad.normal_grads.view(np.int64), normal_grads.view(np.int64))
+    else:
+        assert len(grad.normal_slots) == 0
+    return losses
+
+
 @pytest.mark.parametrize("model", MODELS)
 @pytest.mark.parametrize("norm", NORMS)
-def test_pair_grad_batch_bitwise_equal_to_six_block_scatter(model, norm):
+def test_pair_grad_batch_bitwise_equal_to_six_block_scatter(model, norm, monkeypatch):
     # one pair; then, at row width 200, a batch whose 6B terms span several
     # scatter blocks and end in a partial one, and whose most common
-    # relation id has a segment longer than a block
+    # relation id has a segment longer than a block, and whose 2B forward
+    # rows are two blocks
     rng = np.random.default_rng(14)
     dim = 100 if model == "complex" else 200
     step = BLOCK_BYTES // (8 * 200)
     for batch in (1, step - 5):
         table = random_scoring_table(rng, model, dim, norm, n_ids=40)
-        p = np.where(rng.random(batch) < 0.1, rng.choice(table.property_ids, batch), table.property_ids[0])
-        pos = np.stack([rng.integers(0, 35, batch), p, rng.integers(0, 35, batch)], axis=1)
-        neg = pos.copy()
-        col = np.where(rng.random(batch) < 0.5, 0, 2)
-        neg[np.arange(batch), col] = rng.integers(0, 35, batch)
-        grad, _ = pair_grad_batch(table, pos, neg)
-        node_ids, node_grads, slots, normal_grads = reference_pair_grad(table, pos, neg)
-        assert np.array_equal(grad.node_ids, node_ids)
-        assert np.array_equal(grad.node_grads.view(np.int64), node_grads.view(np.int64))
-        if model == "transh":
-            assert np.array_equal(grad.normal_slots, slots)
-            assert np.array_equal(grad.normal_grads.view(np.int64), normal_grads.view(np.int64))
-        else:
-            assert len(grad.normal_slots) == 0
+        assert_bitwise_six_block_scatter(table, *random_pairs(rng, table, batch))
+    # forward blocks of 7 rows: 2B = 6 rows in one block, 28 in four full
+    # blocks, 22 in three full blocks and a last one of one row; the losses
+    # are bitwise those of one block
+    table = random_scoring_table(rng, model, 3, norm, n_ids=40)
+    pairs = [random_pairs(rng, table, batch) for batch in (3, 14, 11)]
+    one_block = [pair_grad_batch(table, pos, neg)[1] for pos, neg in pairs]
+    monkeypatch.setattr(kgeu.models, "BLOCK_BYTES", 7 * 8 * table.config.width)
+    for (pos, neg), want in zip(pairs, one_block):
+        losses = assert_bitwise_six_block_scatter(table, pos, neg)
+        assert np.array_equal(losses.view(np.int64), want.view(np.int64))
 
 
 def test_batch_gradient_equals_sum_of_pairs():
@@ -473,6 +497,18 @@ def test_pair_losses_equal_reference_pair_loss(model, norm, complex_reg):
     want = reference_pair_loss(table, pos, neg)
     assert np.count_nonzero(want) > batch // 4
     assert np.all(np.abs(losses - want) <= 1e-12 * np.abs(want))
+    if model == "complex" and complex_reg > 0.0:
+        # the regulariser from each touched row's squared norm has the bits
+        # of the per-pair form that gathers all six role rows again; at
+        # weight 1 it dominates the loss, so a changed reduction would show
+        table.config = ModelConfig(model=model, dim=6, norm=norm, complex_reg=0.0)
+        _, unregularised = pair_grad_batch(table, pos, neg)
+        ids6, first = _pair_reg_ids(pos, neg)
+        reg = np.add.reduce(np.add.reduce(table.node_vectors[ids6] ** 2, axis=-1) * first, axis=1)
+        for weight in (complex_reg, 1.0):
+            table.config = ModelConfig(model=model, dim=6, norm=norm, complex_reg=weight)
+            _, losses = pair_grad_batch(table, pos, neg)
+            assert np.array_equal(losses.view(np.int64), (unregularised + weight * reg).view(np.int64))
 
 
 def test_complex_batch_gradient_with_regulariser_matches_finite_differences():

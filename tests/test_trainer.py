@@ -5,6 +5,7 @@ import kgeu.models
 import kgeu.trainer
 from kgeu import (
     AdamState,
+    EmbeddingTable,
     EmptyDatasetError,
     EvalConfig,
     InvalidConfigError,
@@ -210,6 +211,29 @@ def test_adam_rejects_non_finite():
     grad = SparseGrad(np.array([0]), rows)
     with pytest.raises(NonFiniteUpdateError):
         adam_step(table, adam, grad, 0.01)
+
+
+def test_adam_whole_table_step_bitwise_equal_to_gathered_rows():
+    # a step touching every row updates in place; the same step on a table
+    # with one more, untouched row gathers and scatters the touched rows
+    whole, adam = make_table_and_adam(dim=16, n_ids=40)
+    n = len(whole.node_vectors)
+    extra = np.full((1, whole.config.width), 0.5)
+    gathered = EmbeddingTable(whole.config, np.concatenate([whole.node_vectors, extra]), None, whole.property_ids)
+    adam_gathered = AdamState(gathered)
+    rng = np.random.default_rng(9)
+    for _ in range(5):
+        grads = rng.normal(size=(n, whole.config.width))
+        adam_step(whole, adam, SparseGrad(np.arange(n), grads), 0.01)
+        adam_step(gathered, adam_gathered, SparseGrad(np.arange(n), grads), 0.01)
+        for got, want in ((whole.node_vectors, gathered.node_vectors), (adam.m_nodes, adam_gathered.m_nodes),
+                          (adam.v_nodes, adam_gathered.v_nodes)):
+            assert np.array_equal(got.view(np.int64), want[:n].view(np.int64))
+    assert np.array_equal(gathered.node_vectors[n:], extra)
+    assert not adam_gathered.m_nodes[n:].any() and not adam_gathered.v_nodes[n:].any()
+    grads[n // 2, 3] = np.inf
+    with pytest.raises(NonFiniteUpdateError):
+        adam_step(whole, adam, SparseGrad(np.arange(n), grads), 0.01)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ candidates and more test triples than one evaluation chunk holds):
   duplicate (the `duplicates=` count),
 * 12 archives: TransE, TransH and ComplEx x `--unify`/`--no-unify` x L1/L2,
   and a 3-seed run,
+* on the wider graph, one full-batch archive per model at `--dim 200`
+  (about 5 s of the run),
 * `eval` of every archive under both candidate policies (stdout and
   `--out-json`) and one multi-archive `eval` of the 3-seed run,
 * `predict` on every archive in all three directions, with and without
@@ -57,6 +59,10 @@ GRAPHS = {
     "wide": ["--facts", "3000", "--entities", "600", "--relations", "20"],
 }
 TRAIN = ["--dim", "8", "--epochs", "15", "--batch", "16"]
+# The wide graph's 5,120 training triples in one batch at row width 200 or
+# 400: each step's forward pass spans 16 or 32 row blocks, and Adam touches
+# every row and every TransH normal.
+FULL_BATCH = ["--dim", "200", "--epochs", "3"]
 SEED = "3"  # of the generated graphs and of training
 HAND = {  # file name -> text, written byte for byte
     "hand.tsv": ("ex:a\tex:p\tex:b\r\n\r\n \t \t \r\nex:b\tex:p\tex:c\u0085d\r\n\nex:c\u0085d\tex:q\tex:p\r\n"
@@ -97,6 +103,10 @@ def matrix(out: Path, kgeu) -> None:
                     archives.append(archive)
         kgeu("train", "--model", "transe", *TRAIN, "--seed", SEED, "--seeds", "3",
              "--out", f"{graph}/seeds.kgeu", train)
+        if graph == "wide":
+            for model in ("transe", "transh", "complex"):
+                kgeu("train", "--model", model, *FULL_BATCH, "--seed", SEED, "--out", f"{graph}/{model}-full.kgeu",
+                     train)
         seeds = sorted(str(p.relative_to(out)) for p in (out / graph).glob("seeds.kgeu.s*"))
         kgeu("eval", "--train", train, *seeds, test)
         s, p, o = first_test_triple(out / test)
